@@ -184,7 +184,7 @@ class LocalSimBackend(Backend):
 class UniformRandomBackend(Backend):
     """Returns uniformly random bitstrings; a floor for every metric."""
 
-    def __init__(self, n_qubits: int, seed: int = 0) -> None:
+    def __init__(self, n_qubits: int) -> None:
         self._n = n_qubits
         self._jobs: dict[str, list[ShotTable]] = {}
 

@@ -335,6 +335,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         backend = make_backend(args) if args.command != "report" else None
+    except (ValueError, KeyError, TypeError, OSError) as err:
+        print(f"error: bad --device: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         store = _store(args)
         return _COMMANDS[args.command](args, backend, store)
     except (ValueError, KeyError, OSError) as err:

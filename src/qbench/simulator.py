@@ -2,12 +2,16 @@
 
 The ideal path evolves a pure state and returns exact Born probabilities;
 it is the classical oracle used for heavy-output sets and fidelity
-references.  The noisy path evolves a density matrix: every physical gate
-applies its unitary followed by a depolarizing channel, idle decay
-(amplitude damping to the T1 and extra pure dephasing to the T2 of each
-qubit) runs for the duration of every scheduling layer on every qubit, and
-sampled bits pass through per-qubit readout confusion with an optional
-correlated flip term.
+references.  The noisy path evolves a density matrix: every physical pulse
+is its unitary followed by a depolarizing channel, every CZ is followed by
+two-qubit depolarizing noise, idle decay (amplitude damping to the T1 and
+extra pure dephasing to the T2 of each qubit) runs for the duration of
+every scheduling layer on every qubit, and sampled bits pass through
+per-qubit readout confusion with an optional correlated flip term.
+
+Every single-qubit map is a 4x4 Liouville superoperator.  Between two CZs a
+qubit's maps multiply into one, applied to the density matrix with a single
+tensordot before the qubit's next CZ and at the end of the circuit.
 
 Bit convention everywhere: qubit 0 is the leftmost character of a
 bitstring, i.e. the most significant bit of a basis index.
@@ -19,6 +23,7 @@ measurement-process errors.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,15 +40,11 @@ _GATE_1Q = {"X": X_MAT, "X90": X90_MAT, "Y90": Y90_MAT}
 
 # --- pure-state simulation --------------------------------------------------
 
-def _apply_1q_matrix(psi: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
-    out = np.tensordot(m, psi, axes=([1], [q]))
-    return np.moveaxis(out, 0, q)
-
-
 def apply_gate_to_state(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     """Apply one gate to a pure state stored as a (2,)*n tensor."""
     if gate.kind in _GATE_1Q:
-        return _apply_1q_matrix(psi, _GATE_1Q[gate.kind], gate.qubits[0])
+        q = gate.qubits[0]
+        return np.moveaxis(np.tensordot(_GATE_1Q[gate.kind], psi, axes=([1], [q])), 0, q)
     if gate.kind == "RZ":
         q = gate.qubits[0]
         shape = [1] * n
@@ -130,31 +131,50 @@ def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-# --- noise channels ----------------------------------------------------------
+# --- noise channels ------------------------------------------------------------
+# 4x4 Liouville superoperators on a qubit's (ket, bra) pair indexed 2*ket + bra,
+# so rho -> M rho M^dagger is kron(M, M.conj()) and channels compose by matmul.
 
-def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
+_VEC_I = np.array([1.0, 0.0, 0.0, 1.0])
+_IDENTITY_4 = np.eye(4, dtype=complex)
+_PULSE_SUPEROPS = {kind: np.kron(u, u.conj()) for kind, u in _GATE_1Q.items()}
+
+
+def depolarizing_superop(p: float) -> np.ndarray:
+    """rho -> (1 - p) rho + p tr(rho) I/2."""
+    if not 0 <= p <= 1:
+        raise ValueError("p must lie in [0, 1]")
+    return (1 - p) * _IDENTITY_4 + (p / 2.0) * np.outer(_VEC_I, _VEC_I)
+
+
+def amplitude_damping_superop(gamma: float) -> np.ndarray:
     if not 0 <= gamma <= 1:
         raise ValueError("gamma must lie in [0, 1]")
-    k0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
-    k1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
-    return _checked([k0, k1])
+    s = math.sqrt(1 - gamma)
+    return np.array(
+        [[1, 0, 0, gamma], [0, s, 0, 0], [0, 0, s, 0], [0, 0, 0, 1 - gamma]],
+        dtype=complex,
+    )
 
 
-def dephasing_kraus(lam: float) -> list[np.ndarray]:
-    """Kraus pair scaling coherences by exactly (1 - lam)."""
+def dephasing_superop(lam: float) -> np.ndarray:
+    """Scales coherences by exactly (1 - lam)."""
     if not 0 <= lam <= 1:
         raise ValueError("lambda must lie in [0, 1]")
-    pz = lam / 2.0
-    k0 = math.sqrt(1 - pz) * np.eye(2, dtype=complex)
-    k1 = math.sqrt(pz) * np.diag([1.0, -1.0]).astype(complex)
-    return _checked([k0, k1])
+    return np.diag([1.0, 1 - lam, 1 - lam, 1.0]).astype(complex)
 
 
-def _checked(kraus: list[np.ndarray]) -> list[np.ndarray]:
-    acc = sum(k.conj().T @ k for k in kraus)
-    if np.abs(acc - np.eye(acc.shape[0])).max() > 1e-9:
-        raise ValueError("Kraus set is not trace preserving")
-    return kraus
+def idle_superop(t1_us: float, t2_us: float, dt_ns: float) -> np.ndarray | None:
+    """Amplitude damping to T1, then the pure dephasing that completes T2,
+    over ``dt_ns``; None when that channel is the identity."""
+    dt_us = dt_ns / 1000.0
+    gamma = 0.0 if not math.isfinite(t1_us) else 1.0 - math.exp(-dt_us / t1_us)
+    # pure-dephasing rate; none is left when T2 saturates 2*T1
+    inv_tphi = 1.0 / t2_us - 1.0 / (2.0 * t1_us) if math.isfinite(t2_us) else 0.0
+    lam = 1.0 - math.exp(-dt_us * inv_tphi) if inv_tphi > 1e-15 else 0.0
+    if gamma <= 0 and lam <= 0:
+        return None
+    return dephasing_superop(lam) @ amplitude_damping_superop(gamma)
 
 
 # --- density-matrix evolution -------------------------------------------------
@@ -168,32 +188,10 @@ class _Density:
         rho[(0,) * (2 * n)] = 1.0
         self.rho = rho
 
-    def apply_1q(self, m: np.ndarray, q: int) -> None:
+    def apply_superop_1q(self, s: np.ndarray, q: int) -> None:
         n = self.n
-        rho = np.tensordot(m, self.rho, axes=([1], [q]))
-        rho = np.moveaxis(rho, 0, q)
-        rho = np.tensordot(m.conj(), rho, axes=([1], [n + q]))
-        self.rho = np.moveaxis(rho, 0, n + q)
-
-    def apply_kraus_1q(self, kraus: list[np.ndarray], q: int) -> None:
-        n = self.n
-        out = None
-        for k in kraus:
-            rho = np.tensordot(k, self.rho, axes=([1], [q]))
-            rho = np.moveaxis(rho, 0, q)
-            rho = np.tensordot(k.conj(), rho, axes=([1], [n + q]))
-            rho = np.moveaxis(rho, 0, n + q)
-            out = rho if out is None else out + rho
-        self.rho = out
-
-    def apply_phase_1q(self, phases: np.ndarray, q: int) -> None:
-        n = self.n
-        shape_ket = [1] * (2 * n)
-        shape_ket[q] = 2
-        shape_bra = [1] * (2 * n)
-        shape_bra[n + q] = 2
-        self.rho = self.rho * phases.reshape(shape_ket)
-        self.rho = self.rho * phases.conj().reshape(shape_bra)
+        rho = np.tensordot(s.reshape(2, 2, 2, 2), self.rho, axes=([2, 3], [q, n + q]))
+        self.rho = np.moveaxis(rho, (0, 1), (q, n + q))
 
     def apply_cz(self, a: int, b: int) -> None:
         n = self.n
@@ -205,18 +203,6 @@ class _Density:
         shape_bra[n + a], shape_bra[n + b] = 2, 2
         self.rho = self.rho * sign.reshape(shape_ket)
         self.rho = self.rho * sign.reshape(shape_bra)
-
-    def depolarize_1q(self, p: float, q: int) -> None:
-        if p <= 0:
-            return
-        n = self.n
-        tr = np.trace(self.rho, axis1=q, axis2=n + q)
-        out = (1 - p) * self.rho
-        for b in (0, 1):
-            idx = [slice(None)] * (2 * n)
-            idx[q], idx[n + q] = b, b
-            out[tuple(idx)] += (p / 2.0) * tr
-        self.rho = out
 
     def depolarize_2q(self, p: float, a: int, b: int) -> None:
         if p <= 0:
@@ -244,33 +230,74 @@ class _Density:
             raise RuntimeError("density matrix trace drifted")
         if np.abs(m - m.conj().T).max() > 1e-9:
             raise RuntimeError("density matrix lost Hermiticity")
+        if np.real(np.diag(m)).min() < -1e-12:
+            raise RuntimeError("density matrix has a negative population")
 
     def diagonal_probs(self) -> np.ndarray:
+        """Outcome probabilities; only round-off negatives that check() admits are clipped."""
         dim = 2**self.n
         d = np.real(np.diag(self.rho.reshape(dim, dim)))
         d = np.clip(d, 0.0, None)
         return d / d.sum()
 
 
-def _phi_time_us(t1_us: float, t2_us: float) -> float:
-    """Pure-dephasing time from T1 and T2; inf when T2 saturates 2*T1."""
-    inv = 1.0 / t2_us - 1.0 / (2.0 * t1_us) if math.isfinite(t2_us) else 0.0
-    if inv <= 1e-15:
-        return math.inf
-    return 1.0 / inv
+def _evolve(circuit: Circuit, device: DeviceModel) -> tuple[list[int], _Density | None]:
+    """Evolve the circuit's active qubits; returns them and their final state.
 
+    Each active qubit accumulates its single-qubit maps since its last CZ in
+    one pending superoperator, flushed into the state before its next CZ and
+    at the end; maps on different qubits commute, so the fusion is exact.
+    """
+    active = sorted({q for g in circuit.ops for q in g.qubits})
+    if not active:
+        return active, None
+    pos = {q: i for i, q in enumerate(active)}
+    state = _Density(len(active))
+    pending: list[np.ndarray | None] = [None] * len(active)
+    deps = [depolarizing_superop(device.p1[q]) for q in active]
+    pulses = {(kind, i): dep @ s for kind, s in _PULSE_SUPEROPS.items()
+              for i, dep in enumerate(deps)}
+    idle_cache: dict[tuple[int, float], np.ndarray | None] = {}
 
-def _idle_kraus(t1_us: float, t2_us: float, dt_ns: float) -> list[list[np.ndarray]]:
-    dt_us = dt_ns / 1000.0
-    out = []
-    gamma = 0.0 if not math.isfinite(t1_us) else 1.0 - math.exp(-dt_us / t1_us)
-    if gamma > 0:
-        out.append(amplitude_damping_kraus(gamma))
-    tphi = _phi_time_us(t1_us, t2_us)
-    lam = 0.0 if not math.isfinite(tphi) else 1.0 - math.exp(-dt_us / tphi)
-    if lam > 0:
-        out.append(dephasing_kraus(lam))
-    return out
+    def flush(i: int) -> None:
+        if pending[i] is not None:
+            state.apply_superop_1q(pending[i], i)
+        pending[i] = None
+
+    for layer in circuit.layers():
+        if layer[0].kind == "MEASURE_ALL":
+            continue
+        for g in layer:
+            if g.kind in _GATE_1Q:
+                i = pos[g.qubits[0]]
+                s = pulses[g.kind, i]
+                pending[i] = s if pending[i] is None else s @ pending[i]
+            elif g.kind == "RZ":
+                i = pos[g.qubits[0]]
+                phase = cmath.exp(-1j * g.angle_rad)
+                s = (_IDENTITY_4 if pending[i] is None else pending[i]).copy()
+                s[1] *= phase
+                s[2] *= phase.conjugate()
+                pending[i] = s
+            elif g.kind == "CZ":
+                a, b = pos[g.qubits[0]], pos[g.qubits[1]]
+                flush(a)
+                flush(b)
+                state.apply_cz(a, b)
+                state.depolarize_2q(device.p2, a, b)
+        duration = max(device.timing.gate_duration_ns(g) for g in layer)
+        if duration > 0:
+            for i, q_phys in enumerate(active):
+                key = (q_phys, duration)
+                if key not in idle_cache:
+                    qp = device.qubits[q_phys]
+                    idle_cache[key] = idle_superop(qp.t1_us, qp.t2_us, duration)
+                s = idle_cache[key]
+                if s is not None:
+                    pending[i] = s if pending[i] is None else s @ pending[i]
+    for i in range(len(active)):
+        flush(i)
+    return active, state
 
 
 def run_noisy(
@@ -297,43 +324,12 @@ def run_noisy(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     seed_val = -1 if isinstance(seed, np.random.Generator) else int(seed)
 
-    active = sorted({q for g in circuit.ops for q in g.qubits})
-    pos = {q: i for i, q in enumerate(active)}
-    k = len(active)
-
     bits = np.zeros((shots, n), dtype=np.uint8)
-    if k > 0:
-        state = _Density(k)
-        idle_cache: dict[tuple[int, float], list[list[np.ndarray]]] = {}
-        for layer in circuit.layers():
-            if layer[0].kind == "MEASURE_ALL":
-                continue
-            duration = max(device.timing.gate_duration_ns(g) for g in layer)
-            for g in layer:
-                if g.kind in _GATE_1Q:
-                    q = pos[g.qubits[0]]
-                    state.apply_1q(_GATE_1Q[g.kind], q)
-                    state.depolarize_1q(device.p1[g.qubits[0]], q)
-                elif g.kind == "RZ":
-                    q = pos[g.qubits[0]]
-                    state.apply_phase_1q(
-                        np.exp(np.array([-0.5j, 0.5j]) * g.angle_rad), q
-                    )
-                elif g.kind == "CZ":
-                    a, b = g.qubits
-                    state.apply_cz(pos[a], pos[b])
-                    state.depolarize_2q(device.p2, pos[a], pos[b])
-            if duration > 0:
-                for q_phys in active:
-                    key = (q_phys, duration)
-                    if key not in idle_cache:
-                        qp = device.qubits[q_phys]
-                        idle_cache[key] = _idle_kraus(qp.t1_us, qp.t2_us, duration)
-                    for kraus in idle_cache[key]:
-                        state.apply_kraus_1q(kraus, pos[q_phys])
+    active, state = _evolve(circuit, device)
+    if state is not None:
+        k = len(active)
         state.check()
-        probs = state.diagonal_probs()
-        outcomes = rng.choice(2**k, size=shots, p=probs)
+        outcomes = rng.choice(2**k, size=shots, p=state.diagonal_probs())
         for i, q_phys in enumerate(active):
             bits[:, q_phys] = (outcomes >> (k - 1 - i)) & 1
 

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, determinism, artifacts."""
 import json
 
+import pytest
+
 from qbench.cli import EXIT_METRIC_INVALID, EXIT_OK, EXIT_USAGE, cli_main
 from qbench.reporting import RunStore
 
@@ -22,7 +24,14 @@ class TestExitCodes:
 
     def test_missing_device_file(self, tmp_path):
         code = cli_main(["rb", "--device", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
-        assert code == EXIT_METRIC_INVALID
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", ["{not json", '{"qubits": 5}', "[]", '{"p2": 0.1}'])
+    def test_malformed_device_file(self, tmp_path, text):
+        path = tmp_path / "device.json"
+        path.write_text(text)
+        code = cli_main(["rb", "--device", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
 
     def test_flagged_metric_exits_one(self, tmp_path):
         # infinite-coherence device makes the relaxation fit unidentifiable

@@ -3,18 +3,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_su2
+from density_oracle import OracleDensity, idle_kraus
 from qbench.circuits import Circuit, cz, measure_all, wait, x, x90, y90
+from qbench.cliffords import X90_MAT, X_MAT, Y90_MAT
 from qbench.device import DeviceModel, QubitParams, ideal_device
 from qbench.simulator import (
+    _PULSE_SUPEROPS,
     ShotTable,
-    amplitude_damping_kraus,
-    dephasing_kraus,
+    _Density,
+    amplitude_damping_superop,
+    dephasing_superop,
+    depolarizing_superop,
+    idle_superop,
     probabilities_dict,
     run_ideal,
     run_noisy,
     total_variation_distance,
 )
+
+VEC_I = np.array([1.0, 0.0, 0.0, 1.0])  # vec(I) in the 2*ket + bra index
+
+
+def assert_cptp(s: np.ndarray) -> None:
+    """Trace preserving, vec(I)^T S == vec(I)^T; completely positive Choi matrix."""
+    assert np.abs(VEC_I @ s - VEC_I).max() < 1e-12
+    choi = s.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+    assert np.abs(choi - choi.conj().T).max() < 1e-12
+    assert np.linalg.eigvalsh(choi).min() >= -1e-12
 
 
 class TestIdeal:
@@ -51,30 +70,68 @@ class TestIdeal:
 
 
 class TestKraus:
+    """The amplitude-damping and dephasing channels, as 4x4 superoperators."""
+
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
     def test_amplitude_damping_complete(self, gamma):
-        ks = amplitude_damping_kraus(gamma)
-        acc = sum(k.conj().T @ k for k in ks)
-        assert np.abs(acc - np.eye(2)).max() < 1e-9
+        s = amplitude_damping_superop(gamma)
+        assert np.abs(VEC_I @ s - VEC_I).max() < 1e-9
 
     @pytest.mark.parametrize("lam", [0.0, 0.4, 1.0])
     def test_dephasing_complete(self, lam):
-        ks = dephasing_kraus(lam)
-        acc = sum(k.conj().T @ k for k in ks)
-        assert np.abs(acc - np.eye(2)).max() < 1e-9
+        s = dephasing_superop(lam)
+        assert np.abs(VEC_I @ s - VEC_I).max() < 1e-9
 
     def test_dephasing_scales_coherence_linearly(self):
         lam = 0.3
-        ks = dephasing_kraus(lam)
         rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        out = sum(k @ rho @ k.conj().T for k in ks)
+        out = (dephasing_superop(lam) @ rho.reshape(4)).reshape(2, 2)
         assert out[0, 1] == pytest.approx(0.5 * (1 - lam))
 
     def test_invalid_strengths(self):
         with pytest.raises(ValueError):
-            amplitude_damping_kraus(1.5)
+            amplitude_damping_superop(1.5)
         with pytest.raises(ValueError):
-            dephasing_kraus(-0.1)
+            dephasing_superop(-0.1)
+        with pytest.raises(ValueError):
+            depolarizing_superop(1.2)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+class TestSuperopCPTP:
+    @pytest.mark.parametrize(
+        "build", [depolarizing_superop, amplitude_damping_superop, dephasing_superop]
+    )
+    @settings(max_examples=50, deadline=None)
+    @given(strength=unit)
+    def test_channel(self, build, strength):
+        assert_cptp(build(strength))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.01, 1.0), unit, unit)
+    def test_idle(self, t1_scale, t2_ratio, dt_scale):
+        # T1 up to 100 us, T2 in (0, 2*T1], idle up to 100 us
+        t1 = 100.0 * t1_scale
+        s = idle_superop(t1, max(2 * t1 * t2_ratio, 1e-6), 1e5 * dt_scale)
+        assert_cptp(np.eye(4) if s is None else s)
+
+    @settings(max_examples=50, deadline=None)
+    @given(unit, st.sampled_from(["X", "X90", "Y90"]))
+    def test_pulse(self, p, kind):
+        assert_cptp(depolarizing_superop(p) @ _PULSE_SUPEROPS[kind])
+
+    @pytest.mark.parametrize("kind, u", [("X", X_MAT), ("X90", X90_MAT), ("Y90", Y90_MAT)])
+    def test_pulse_superop_is_conjugation(self, kind, u, rng):
+        v = random_su2(rng)
+        rho = v @ np.diag([0.7, 0.3]) @ v.conj().T
+        out = (_PULSE_SUPEROPS[kind] @ rho.reshape(4)).reshape(2, 2)
+        assert np.abs(out - u @ rho @ u.conj().T).max() < 1e-12
+
+    def test_identity_idle_is_skipped(self):
+        assert idle_superop(math.inf, math.inf, 100.0) is None
+        assert idle_superop(15.0, 13.0, 0.0) is None
 
 
 class TestNoisy:
@@ -168,10 +225,7 @@ class TestNoisy:
 
 class TestDensityInvariants:
     def test_channels_preserve_trace_hermiticity_psd(self, rng):
-        from qbench.simulator import _Density, _idle_kraus
-        from qbench.cliffords import X90_MAT
-
-        state = _Density(2)
+        state = OracleDensity(2)
         for step in range(30):
             choice = rng.integers(0, 4)
             if choice == 0:
@@ -182,11 +236,23 @@ class TestDensityInvariants:
             elif choice == 2:
                 state.depolarize_1q(0.02, int(rng.integers(0, 2)))
             else:
-                for kraus in _idle_kraus(15.0, 13.0, 100.0):
+                for kraus in idle_kraus(15.0, 13.0, 100.0):
                     state.apply_kraus_1q(kraus, int(rng.integers(0, 2)))
             state.check()  # trace and Hermiticity within 1e-9
             m = state.rho.reshape(4, 4)
             assert np.linalg.eigvalsh(m).min() >= -1e-9
+
+    def test_check_rejects_negative_population(self):
+        state = _Density(1)
+        state.rho = np.diag([1.0 + 1e-6, -1e-6]).astype(complex)
+        with pytest.raises(RuntimeError):
+            state.check()
+
+    def test_round_off_negative_population_is_clipped(self):
+        state = _Density(1)
+        state.rho = np.diag([1.0 + 1e-13, -1e-13]).astype(complex)
+        state.check()
+        assert state.diagonal_probs().tolist() == [1.0, 0.0]
 
 
 class TestShotTable:
