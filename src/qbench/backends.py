@@ -1,23 +1,28 @@
 """Backend abstraction: local simulator, stub backends, and batch helpers.
 
-A backend accepts batches of circuits and hands back one ShotTable per
-circuit.  Results for a completed handle are immutable and repeatable.
-Submissions against the local simulator run synchronously; remote backends
-(see :mod:`qbench.remote`) poll a job endpoint.
+A backend has one execution call, :meth:`Backend.run`: it takes a batch of
+circuits, a shot count and a seed, and returns one ShotTable per circuit,
+in order, each holding exactly the requested shots.  The local simulator
+runs the batch synchronously; the remote backend (see :mod:`qbench.remote`)
+submits it to a job endpoint and polls until it is done.
 
-The local backend carries a virtual wall clock so slow parameter drift can
-be exercised without real waiting: :meth:`LocalSimBackend.advance_clock`
-moves time forward and redraws the per-epoch coherence jitter.
+Two optional capabilities replace checks on the concrete backend class:
+
+* ``timing`` is the executing hardware's gate-timing model, or None when
+  the backend has none.  Throughput measurements use it to model the
+  quantum time of a batch.
+* ``advance_clock(seconds)`` moves a virtual wall clock and returns the new
+  time, or None when the backend has no such clock.  The local backend's
+  clock redraws the per-epoch coherence jitter, so slow parameter drift can
+  be exercised without real waiting.
 """
 from __future__ import annotations
 
 import abc
-import uuid
-from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, TimingModel
 from .device import DeviceModel
 from .simulator import ShotTable, index_to_bitstring, run_noisy
 
@@ -46,6 +51,7 @@ class Backend(abc.ABC):
     """Executes circuit batches and returns measurement histograms."""
 
     native_gates: tuple[str, ...] = ("X", "X90", "Y90", "RZ", "CZ", "WAIT", "MEASURE_ALL")
+    timing: TimingModel | None = None
 
     @property
     @abc.abstractmethod
@@ -57,10 +63,12 @@ class Backend(abc.ABC):
         """Allowed CZ pairs; None means all-to-all."""
 
     @abc.abstractmethod
-    def submit(self, circuits: list[Circuit], shots: int, seed: int) -> str: ...
+    def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
+        """Execute a batch: one table per circuit, in order, ``shots`` shots each."""
 
-    @abc.abstractmethod
-    def result(self, handle: str) -> list[ShotTable]: ...
+    def advance_clock(self, seconds: float) -> float | None:
+        """Move the virtual wall clock; None when the backend has none."""
+        return None
 
     def metadata(self) -> dict:
         return {
@@ -82,6 +90,10 @@ class Backend(abc.ABC):
                             f"circuit {c.label!r} has CZ on unconnected pair {g.qubits}"
                         )
 
+    def _qubit_quality(self, qubit: int) -> float:
+        """Tie-break between equally connected qubits; higher is better."""
+        return 0.0
+
     def preferred_qubit_order(self) -> list[int]:
         """Physical qubits sorted by connectivity degree, best first."""
         if self.connectivity is None:
@@ -90,7 +102,7 @@ class Backend(abc.ABC):
         for a, b in self.connectivity:
             degree[a] += 1
             degree[b] += 1
-        return sorted(degree, key=lambda q: (-degree[q], q))
+        return sorted(degree, key=lambda q: (-degree[q], -self._qubit_quality(q), q))
 
 
 class LocalSimBackend(Backend):
@@ -98,10 +110,10 @@ class LocalSimBackend(Backend):
 
     def __init__(self, device: DeviceModel, drift_seed: int = 0) -> None:
         self.device = device
+        self.timing = device.timing
         self.clock_s = 0.0
         self._drift_seed = drift_seed
         self._epoch = 0
-        self._jobs: dict[str, list[ShotTable]] = {}
         self._effective = device
 
     @property
@@ -120,25 +132,17 @@ class LocalSimBackend(Backend):
             "p2": self.device.p2,
         }
 
-    def preferred_qubit_order(self) -> list[int]:
-        """Best-connected first, ties broken by readout fidelity."""
-        if self.connectivity is None:
-            return list(range(self.n_qubits))
-        degree = {q: 0 for q in range(self.n_qubits)}
-        for a, b in self.connectivity:
-            degree[a] += 1
-            degree[b] += 1
-        fro = {
-            q: 1.0 - (self.device.qubits[q].readout[0][1] + self.device.qubits[q].readout[1][0]) / 2
-            for q in range(self.n_qubits)
-        }
-        return sorted(degree, key=lambda q: (-degree[q], -fro[q], q))
+    def _qubit_quality(self, qubit: int) -> float:
+        """Readout fidelity."""
+        readout = self.device.qubits[qubit].readout
+        return 1.0 - (readout[0][1] + readout[1][0]) / 2
 
-    def advance_clock(self, seconds: float) -> None:
+    def advance_clock(self, seconds: float) -> float:
         """Move the virtual wall clock and redraw the drift jitter."""
         self.clock_s += seconds
         self._epoch += 1
         self._refresh_effective()
+        return self.clock_s
 
     def _refresh_effective(self) -> None:
         drift = self.device.drift
@@ -162,8 +166,7 @@ class LocalSimBackend(Backend):
     def effective_device(self) -> DeviceModel:
         return self._effective
 
-    def submit(self, circuits: list[Circuit], shots: int, seed: int) -> str:
-        self.check_capabilities(circuits)
+    def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
         tables = []
         for i, c in enumerate(circuits):
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
@@ -171,14 +174,7 @@ class LocalSimBackend(Backend):
             tables.append(
                 ShotTable(counts=t.counts, shots=shots, seed=int(seed), n_qubits=t.n_qubits)
             )
-        handle = str(uuid.uuid4())
-        self._jobs[handle] = tables
-        return handle
-
-    def result(self, handle: str) -> list[ShotTable]:
-        if handle not in self._jobs:
-            raise JobNotFoundError(handle)
-        return self._jobs[handle]
+        return tables
 
 
 class UniformRandomBackend(Backend):
@@ -186,7 +182,6 @@ class UniformRandomBackend(Backend):
 
     def __init__(self, n_qubits: int) -> None:
         self._n = n_qubits
-        self._jobs: dict[str, list[ShotTable]] = {}
 
     @property
     def n_qubits(self) -> int:
@@ -196,8 +191,7 @@ class UniformRandomBackend(Backend):
     def connectivity(self) -> frozenset[tuple[int, int]] | None:
         return None
 
-    def submit(self, circuits: list[Circuit], shots: int, seed: int) -> str:
-        self.check_capabilities(circuits)
+    def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
         tables = []
         for i, c in enumerate(circuits):
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), i, 0xF00D]))
@@ -214,40 +208,7 @@ class UniformRandomBackend(Backend):
                     n_qubits=c.n_qubits,
                 )
             )
-        handle = str(uuid.uuid4())
-        self._jobs[handle] = tables
-        return handle
-
-    def result(self, handle: str) -> list[ShotTable]:
-        if handle not in self._jobs:
-            raise JobNotFoundError(handle)
-        return self._jobs[handle]
-
-
-@dataclass
-class FailAfterBackend(Backend):
-    """Test helper: proxies an inner backend, failing after N submissions."""
-
-    inner: Backend
-    fail_after: int
-    submissions: int = 0
-
-    @property
-    def n_qubits(self) -> int:
-        return self.inner.n_qubits
-
-    @property
-    def connectivity(self) -> frozenset[tuple[int, int]] | None:
-        return self.inner.connectivity
-
-    def submit(self, circuits: list[Circuit], shots: int, seed: int) -> str:
-        if self.submissions >= self.fail_after:
-            raise BackendError("injected backend failure")
-        self.submissions += 1
-        return self.inner.submit(circuits, shots, seed)
-
-    def result(self, handle: str) -> list[ShotTable]:
-        return self.inner.result(handle)
+        return tables
 
 
 def submit_and_wait(
@@ -255,14 +216,9 @@ def submit_and_wait(
     circuits: list[Circuit],
     shots: int,
     seed: int,
-    timeout_s: float = 60.0,
 ) -> list[ShotTable]:
-    """Submit a batch and block until its tables are available, in order."""
+    """Check a batch against the backend's capabilities and run it."""
     if not circuits:
         return []
     backend.check_capabilities(circuits)
-    handle = backend.submit(circuits, shots, seed)
-    waiter = getattr(backend, "wait", None)
-    if waiter is not None:
-        waiter(handle, timeout_s)
-    return backend.result(handle)
+    return backend.run(circuits, shots, seed)

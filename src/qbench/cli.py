@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .application import QScoreConfig, run_app_suite, run_qscore, volumetric_csv
-from .backends import Backend, LocalSimBackend
+from .backends import Backend, BackendError, LocalSimBackend
 from .component import (
     CoherenceConfig,
     RBConfig,
@@ -28,7 +28,6 @@ from .component import (
     T2STAR_MAX_WAIT_US,
     measure_crosstalk,
     measure_readout,
-    q_factor,
     run_calibration,
     run_rb,
     t1_experiment,
@@ -341,7 +340,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         store = _store(args)
         return _COMMANDS[args.command](args, backend, store)
-    except (ValueError, KeyError, OSError) as err:
+    except (BackendError, ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_METRIC_INVALID
 

@@ -52,8 +52,6 @@ _TOKEN_MATRIX = {
     "Z3": rz_matrix(3 * np.pi / 2),
 }
 
-_PHYSICAL_TOKENS = frozenset({"X", "Y", "X90", "Y90", "Xm90", "Ym90"})
-
 # Circuit-order pulse sequences for the 24 elements.
 _CLIFFORD_PULSES: tuple[tuple[str, ...], ...] = (
     # pi rotations about the coordinate axes, plus identity as an X echo
@@ -184,15 +182,6 @@ ELEMENTS = tuple(CliffordElement(i, p) for i, p in enumerate(_CLIFFORD_PULSES))
 IDENTITY_INDEX = int(
     next(i for i, m in enumerate(MATRICES) if equal_up_to_phase(m, np.eye(2)))
 )
-
-
-def compose_cliffords(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    """Group product in circuit order: apply ``a`` first, then ``b``."""
-    return ELEMENTS[COMPOSE_TABLE[a.index, b.index]]
-
-
-def inverse_clifford(a: CliffordElement) -> CliffordElement:
-    return ELEMENTS[INVERSE_TABLE[a.index]]
 
 
 def compose_indices(indices: list[int] | tuple[int, ...]) -> int:

@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from .circuits import Circuit, Gate, cz, normalize_angle, rz, x, x90
+from .circuits import Gate, cz, normalize_angle, rz, x, x90
 from .cliffords import X90_MAT, X_MAT, equal_up_to_phase, rz_matrix
 
 _EPS = 1e-12
@@ -340,22 +340,3 @@ def routed_block(block: list[Gate], a: int, b: int,
         qs = tuple(c if q == a else q for q in g.qubits)
         moved.append(Gate(g.kind, qs, angle_rad=g.angle_rad, duration_ns=g.duration_ns))
     return swap_ops(a, c) + moved + swap_ops(a, c)
-
-
-def ideal_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of a (measurement-free) circuit body; ignores WAIT."""
-    from .simulator import apply_gate_to_state  # local import avoids a cycle
-
-    n = circuit.n_qubits
-    if n > 10:
-        raise ValueError("ideal_unitary supports at most 10 qubits")
-    dim = 2**n
-    cols = []
-    for k in range(dim):
-        state = np.zeros(dim, dtype=complex)
-        state[k] = 1.0
-        psi = state.reshape([2] * n)
-        for g in circuit.body():
-            psi = apply_gate_to_state(psi, g, n)
-        cols.append(psi.reshape(-1))
-    return np.array(cols).T

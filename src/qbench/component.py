@@ -22,13 +22,14 @@ Protocols:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cliffords
 from .backends import Backend, submit_and_wait
-from .circuits import Circuit, Gate, measure_all, rz, wait, x, x90
+from .circuits import Circuit, Gate, TimingModel, measure_all, rz, wait, x, x90
 from .fitting import DataSeries, FitResult, fit_damped_sinusoid, fit_exp_decay, fit_geometric
 from .simulator import index_to_bitstring
 
@@ -242,40 +243,41 @@ class CoherenceResult:
     valid: bool
 
 
-def _run_wait_scan(
+def _wait_scan(
     backend: Backend,
-    circuits: list[Circuit],
     qubit: int,
-    shots: int,
-    seed: int,
-) -> list[float]:
-    tables = submit_and_wait(backend, circuits, shots, seed)
-    return [t.fraction_ones(qubit) for t in tables]
+    cfg: CoherenceConfig,
+    kind: str,
+    ops_at: Callable[[float], tuple[Gate, ...]],
+    fit: Callable[[DataSeries], FitResult],
+) -> CoherenceResult:
+    """Run ``ops_at(wait_us)`` then a measurement at every wait and fit the decay."""
+    waits = cfg.waits_us()
+    circuits = [
+        Circuit(backend.n_qubits, (*ops_at(t), measure_all()), label=f"{kind}_q{qubit}_{i}")
+        for i, t in enumerate(waits)
+    ]
+    tables = submit_and_wait(backend, circuits, cfg.shots, cfg.seed)
+    y = [t.fraction_ones(qubit) for t in tables]
+    result = fit(DataSeries(waits, np.array(y), shots_per_point=cfg.shots))
+    return CoherenceResult(
+        qubit=qubit,
+        kind=kind,
+        waits_us=tuple(map(float, waits)),
+        fractions=tuple(y),
+        fit=result,
+        time_us=result.params.get("T", float("nan")),
+        valid=result.converged and not result.unidentifiable,
+    )
 
 
 def t1_experiment(backend: Backend, qubit: int, cfg: CoherenceConfig | None = None) -> CoherenceResult:
     """Relaxation: excite, idle for a scanned duration, measure."""
     cfg = cfg or CoherenceConfig(max_wait_us=T1_MAX_WAIT_US)
-    waits = cfg.waits_us()
-    n = backend.n_qubits
-    circuits = [
-        Circuit(
-            n,
-            (x(qubit), wait(qubit, t * 1000.0), measure_all()),
-            label=f"t1_q{qubit}_{i}",
-        )
-        for i, t in enumerate(waits)
-    ]
-    y = _run_wait_scan(backend, circuits, qubit, cfg.shots, cfg.seed)
-    fit = fit_exp_decay(DataSeries(waits, np.array(y), shots_per_point=cfg.shots))
-    return CoherenceResult(
-        qubit=qubit,
-        kind="t1",
-        waits_us=tuple(map(float, waits)),
-        fractions=tuple(y),
-        fit=fit,
-        time_us=fit.value("T"),
-        valid=fit.converged and not fit.unidentifiable,
+    return _wait_scan(
+        backend, qubit, cfg, "t1",
+        lambda t: (x(qubit), wait(qubit, t * 1000.0)),
+        fit_exp_decay,
     )
 
 
@@ -289,39 +291,24 @@ def t2star_experiment(
     from masquerading as a frequency mismatch.
     """
     cfg = cfg or CoherenceConfig(max_wait_us=T2STAR_MAX_WAIT_US)
-    waits = cfg.waits_us()
     omega = 2 * np.pi * cfg.detuning_mhz  # rad per microsecond
-    n = backend.n_qubits
-    circuits = [
-        Circuit(
-            n,
-            (
-                x90(qubit),
-                wait(qubit, t * 1000.0),
-                rz(qubit, float(omega * t) % (2 * np.pi)),
-                x90(qubit),
-                measure_all(),
-            ),
-            label=f"t2star_q{qubit}_{i}",
-        )
-        for i, t in enumerate(waits)
-    ]
-    y = _run_wait_scan(backend, circuits, qubit, cfg.shots, cfg.seed)
-    series = DataSeries(waits, np.array(y), shots_per_point=cfg.shots)
-    try:
-        fit = fit_damped_sinusoid(series, omega_guess=omega)
-    except ValueError:
-        # zero or too-small detuning: decay and frequency are confounded
-        fit = FitResult({}, {}, float("nan"), False, 0, ("unidentifiable",))
-    time_us = fit.params.get("T", float("nan"))
-    return CoherenceResult(
-        qubit=qubit,
-        kind="t2star",
-        waits_us=tuple(map(float, waits)),
-        fractions=tuple(y),
-        fit=fit,
-        time_us=time_us,
-        valid=fit.converged and not fit.unidentifiable,
+
+    def fit(series: DataSeries) -> FitResult:
+        try:
+            return fit_damped_sinusoid(series, omega_guess=omega)
+        except ValueError:
+            # zero or too-small detuning: decay and frequency are confounded
+            return FitResult({}, {}, float("nan"), False, 0, ("unidentifiable",))
+
+    return _wait_scan(
+        backend, qubit, cfg, "t2star",
+        lambda t: (
+            x90(qubit),
+            wait(qubit, t * 1000.0),
+            rz(qubit, float(omega * t) % (2 * np.pi)),
+            x90(qubit),
+        ),
+        fit,
     )
 
 
@@ -330,33 +317,10 @@ def t2hahn_experiment(
 ) -> CoherenceResult:
     """Echo: half the wait, one refocusing pulse, the other half."""
     cfg = cfg or CoherenceConfig(max_wait_us=T2HAHN_MAX_WAIT_US)
-    waits = cfg.waits_us()
-    n = backend.n_qubits
-    circuits = [
-        Circuit(
-            n,
-            (
-                x90(qubit),
-                wait(qubit, t * 500.0),
-                x(qubit),
-                wait(qubit, t * 500.0),
-                x90(qubit),
-                measure_all(),
-            ),
-            label=f"t2hahn_q{qubit}_{i}",
-        )
-        for i, t in enumerate(waits)
-    ]
-    y = _run_wait_scan(backend, circuits, qubit, cfg.shots, cfg.seed)
-    fit = fit_exp_decay(DataSeries(waits, np.array(y), shots_per_point=cfg.shots))
-    return CoherenceResult(
-        qubit=qubit,
-        kind="t2hahn",
-        waits_us=tuple(map(float, waits)),
-        fractions=tuple(y),
-        fit=fit,
-        time_us=fit.value("T"),
-        valid=fit.converged and not fit.unidentifiable,
+    return _wait_scan(
+        backend, qubit, cfg, "t2hahn",
+        lambda t: (x90(qubit), wait(qubit, t * 500.0), x(qubit), wait(qubit, t * 500.0), x90(qubit)),
+        fit_exp_decay,
     )
 
 
@@ -412,7 +376,8 @@ def run_calibration(
     else:
         crosstalk = None
     valid_t2 = [r.time_us for r in t2stars if r.valid]
-    qf = q_factor(valid_t2, 20.0) if valid_t2 else float("nan")
+    gate_ns = (backend.timing or TimingModel()).single_qubit_gate_ns
+    qf = q_factor(valid_t2, gate_ns) if valid_t2 else float("nan")
     return CalibrationSummary(
         rb=rb_results,
         readout=readout,

@@ -349,10 +349,3 @@ def _flat_result(names: tuple[str, ...], params: dict[str, float]) -> FitResult:
         0,
         ("unidentifiable",),
     )
-
-
-MODEL_FUNCTIONS = {
-    "geometric": (_geom_f, _geom_jac, _GEOM_NAMES),
-    "exp_decay": (_exp_f, _exp_jac, _EXP_NAMES),
-    "damped_sinusoid": (_sin_f, _sin_jac, _SIN_NAMES),
-}

@@ -26,14 +26,19 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import requests
 
-from .backends import Backend, CapabilityError, JobNotFoundError, SubmitTimeout
+from .backends import Backend, BackendError, CapabilityError, JobNotFoundError, SubmitTimeout
 from .circuits import Circuit
 from .serialization import circuit_from_dict, circuit_to_dict
 from .simulator import ShotTable
 
 
 class RemoteBackend(Backend):
-    """Client for the job protocol above."""
+    """Client for the job protocol above.
+
+    ``run`` submits a batch, waits up to ``timeout_s`` for it and fetches its
+    tables.  On :class:`SubmitTimeout` the handle stays valid, and ``wait``
+    and ``result`` retrieve the tables later.
+    """
 
     def __init__(
         self,
@@ -41,13 +46,16 @@ class RemoteBackend(Backend):
         n_qubits: int,
         connectivity: frozenset[tuple[int, int]] | None = None,
         poll_interval_s: float = 0.05,
+        timeout_s: float = 60.0,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self._n = n_qubits
         self._connectivity = connectivity
         self.poll_interval_s = poll_interval_s
+        self.timeout_s = timeout_s
         self._session = requests.Session()
-        self._context: dict[str, tuple[int, int]] = {}  # handle -> (shots, seed)
+        # handle -> (circuit widths, shots, seed), to check and label the reply
+        self._context: dict[str, tuple[list[int], int, int]] = {}
 
     @property
     def n_qubits(self) -> int:
@@ -60,8 +68,12 @@ class RemoteBackend(Backend):
     def metadata(self) -> dict:
         return {"kind": "RemoteBackend", "n_qubits": self._n, "url": self.base_url}
 
+    def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
+        handle = self.submit(circuits, shots, seed)
+        self.wait(handle, self.timeout_s)
+        return self.result(handle)
+
     def submit(self, circuits: list[Circuit], shots: int, seed: int) -> str:
-        self.check_capabilities(circuits)
         body = {
             "circuits": [circuit_to_dict(c) for c in circuits],
             "shots": int(shots),
@@ -73,15 +85,17 @@ class RemoteBackend(Backend):
             try:
                 resp = self._session.post(f"{self.base_url}/jobs", json=body, timeout=30)
                 break
-            except requests.ConnectionError as err:
+            except (requests.ConnectionError, requests.Timeout) as err:
                 last_err = err
                 time.sleep(0.1)
         else:
             raise ConnectionError(f"submit failed: {last_err}")
-        if resp.status_code not in (200, 201):
+        if 400 <= resp.status_code < 500:
             raise CapabilityError(f"submit rejected: {resp.status_code} {resp.text}")
+        if resp.status_code not in (200, 201):
+            raise BackendError(f"submit failed: {resp.status_code} {resp.text}")
         handle = resp.json()["job_id"]
-        self._context[handle] = (int(shots), int(seed))
+        self._context[handle] = ([c.n_qubits for c in circuits], int(shots), int(seed))
         return handle
 
     def status(self, handle: str) -> dict:
@@ -98,7 +112,7 @@ class RemoteBackend(Backend):
             if doc["status"] == "done":
                 return
             if doc["status"] == "failed":
-                raise RuntimeError(f"job {handle} failed: {doc.get('error', '')}")
+                raise BackendError(f"job {handle} failed: {doc.get('error', '')}")
             if time.monotonic() >= deadline:
                 raise SubmitTimeout(handle)
             time.sleep(self.poll_interval_s)
@@ -107,14 +121,26 @@ class RemoteBackend(Backend):
         doc = self.status(handle)
         if doc["status"] != "done":
             raise SubmitTimeout(handle, f"job {handle} is {doc['status']}")
-        shots, seed = self._context.get(handle, (0, -1))
-        tables = []
-        for entry in doc["results"]:
-            counts = {k: int(v) for k, v in entry["counts"].items()}
-            n = len(next(iter(counts)))
-            total = sum(counts.values())
-            tables.append(ShotTable(counts=counts, shots=total, seed=seed, n_qubits=n))
-        return tables
+        if handle not in self._context:
+            raise JobNotFoundError(f"job {handle} was not submitted by this client")
+        widths, shots, seed = self._context[handle]
+        entries = doc.get("results", [])
+        if len(entries) != len(widths):
+            raise BackendError(
+                f"job {handle} returned {len(entries)} results for {len(widths)} circuits"
+            )
+        try:
+            return [
+                ShotTable(
+                    counts={k: int(v) for k, v in entry["counts"].items()},
+                    shots=shots,
+                    seed=seed,
+                    n_qubits=n,
+                )
+                for entry, n in zip(entries, widths)
+            ]
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise BackendError(f"job {handle} returned a malformed result: {err}") from err
 
 
 class MockServer:
@@ -202,8 +228,7 @@ class MockServer:
             return 200, dict(self._jobs[job_id])
 
     def _execute(self, job_id: str, circuits: list[Circuit], shots: int, seed: int) -> None:
-        handle = self.backend.submit(circuits, shots, seed)
-        tables = self.backend.result(handle)
+        tables = self.backend.run(circuits, shots, seed)
         doc = {
             "status": "done",
             "results": [{"counts": dict(t.counts)} for t in tables],

@@ -166,21 +166,11 @@ def emit_report(store: RunStore, run_metrics: list[str] | None = None) -> dict:
     fill("coherence_t1", "t1_q{q}", "t1_us")
     fill("coherence_t2star", "t2star_q{q}", "t2star_us")
     fill("coherence_t2hahn", "t2hahn_q{q}", "t2hahn_us")
-    for cal_metric in ("calibrate",):
-        rec = latest.get(cal_metric)
-        if rec is None:
-            continue
-        for q in range(n_qubits):
-            for col, key in (
-                ("f1q_pct", f"f1q_q{q}"),
-                ("fro_pct", f"fro_q{q}"),
-                ("t1_us", f"t1_q{q}"),
-                ("t2star_us", f"t2star_q{q}"),
-                ("t2hahn_us", f"t2hahn_q{q}"),
-            ):
-                entry = rec.scalars.get(key)
-                if entry is not None:
-                    qubit_rows[q][col] = entry["value"]
+    fill("calibrate", "f1q_q{q}", "f1q_pct")
+    fill("calibrate", "fro_q{q}", "fro_pct")
+    fill("calibrate", "t1_q{q}", "t1_us")
+    fill("calibrate", "t2star_q{q}", "t2star_us")
+    fill("calibrate", "t2hahn_q{q}", "t2hahn_us")
 
     def top_scalar(metric: str, name: str) -> float | None:
         rec = latest.get(metric)

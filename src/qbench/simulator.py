@@ -83,14 +83,6 @@ def index_to_bitstring(index: int, n: int) -> str:
     return format(index, f"0{n}b")
 
 
-def probabilities_dict(probs: np.ndarray, n: int, threshold: float = 0.0) -> dict[str, float]:
-    return {
-        index_to_bitstring(i, n): float(p)
-        for i, p in enumerate(probs)
-        if p > threshold
-    }
-
-
 # --- measurement records -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -125,10 +117,6 @@ class ShotTable:
             key = "".join(b[p] for p in positions)
             out[key] = out.get(key, 0) + c
         return out
-
-
-def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
 # --- noise channels ------------------------------------------------------------

@@ -11,24 +11,25 @@ neighbour.
 Throughput (circuit layer operations per second) chains parameterized
 square-circuit templates: each round's measured bits seed the PRNG that
 draws the next round's angles, so rounds are strictly sequential per
-template.  On the simulator the quantum time is modeled from the timing
-model while binding and parameter derivation contribute measured wall time;
-execution of the matrix simulation itself stands in for the QPU and is
-excluded.
+template.  On a backend with a timing model (the simulator) the quantum
+time is modeled from it while binding and parameter derivation contribute
+measured wall time; execution of the matrix simulation itself stands in for
+the QPU and is excluded.
 
-Stability repeats the free-induction dephasing experiment over a virtual
-clock and summarizes each qubit's relative spread.
+Stability repeats the free-induction dephasing experiment over the
+backend's virtual clock, where it has one, and summarizes each qubit's
+relative spread.
 """
 from __future__ import annotations
 
 import hashlib
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .backends import Backend, BackendError, LocalSimBackend, submit_and_wait
+from .backends import Backend, BackendError, submit_and_wait
 from .circuits import Circuit, Gate, ParamCircuit, measure_all, parameterize_rz
 from .compile import route_ops, su4_ops
 from .component import CoherenceConfig, t2star_experiment
@@ -149,10 +150,6 @@ class QVResult:
     qv: int
     per_depth: tuple[QVDepthResult, ...]
     flag: str | None
-
-    @property
-    def passed_depths(self) -> list[int]:
-        return [r.depth for r in self.per_depth if r.passed]
 
 
 def run_quantum_volume(backend: Backend, cfg: QVConfig) -> QVResult:
@@ -318,11 +315,11 @@ def run_clops(
         d, cfg.m_templates, seed, backend.n_qubits, order, backend.connectivity
     )
 
-    # Local backends get a modeled quantum window (the matrix simulation
-    # stands in for the QPU, so its wall time is excluded); other backends
-    # are timed around the execution call, which on the bundled mock has no
-    # queue.  Real adapters must subtract queue time from this window.
-    timing = backend.device.timing if isinstance(backend, LocalSimBackend) else None
+    # Backends with a timing model get a modeled quantum window (the matrix
+    # simulation stands in for the QPU, so its wall time is excluded); other
+    # backends are timed around the execution call, which on the bundled mock
+    # has no queue.  Real adapters must subtract queue time from this window.
+    timing = backend.timing
     t_quantum = 0.0
     t_classical = 0.0
     angle_seeds = [seed * 31 + m for m in range(cfg.m_templates)]
@@ -396,19 +393,10 @@ def run_stability(
     errs: list[list[float]] = [[] for _ in qubits]
     flagged = 0
     for rep in range(repeats):
-        if isinstance(backend, LocalSimBackend):
-            backend.advance_clock(interval_s)
-            stamps.append(backend.clock_s)
-        else:
-            stamps.append(rep * interval_s)
+        clock_s = backend.advance_clock(interval_s)
+        stamps.append(rep * interval_s if clock_s is None else clock_s)
         for qi, q in enumerate(qubits):
-            rep_cfg = CoherenceConfig(
-                n_waits=cfg.n_waits,
-                max_wait_us=cfg.max_wait_us,
-                detuning_mhz=cfg.detuning_mhz,
-                shots=cfg.shots,
-                seed=cfg.seed * 997 + rep * 31 + q,
-            )
+            rep_cfg = replace(cfg, seed=cfg.seed * 997 + rep * 31 + q)
             res = t2star_experiment(backend, q, rep_cfg)
             if res.valid:
                 series[qi].append(res.time_us)

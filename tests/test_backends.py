@@ -2,13 +2,46 @@ import pytest
 
 from qbench.backends import (
     CapabilityError,
-    JobNotFoundError,
     LocalSimBackend,
     UniformRandomBackend,
     submit_and_wait,
 )
-from qbench.circuits import Circuit, cz, measure_all, x
+from qbench.circuits import Circuit, cz, measure_all, x, x90
+from qbench.device import starmon5_reference_model
+from qbench.remote import MockServer, RemoteBackend
 
+
+@pytest.fixture(params=["local", "uniform", "remote"])
+def contract_backend(request):
+    """A five-qubit backend of each kind, paired with the name of the kind."""
+    if request.param == "uniform":
+        yield UniformRandomBackend(5), "uniform"
+        return
+    local = LocalSimBackend(starmon5_reference_model())
+    if request.param == "local":
+        yield local, "local"
+        return
+    with MockServer(local) as server:
+        yield RemoteBackend(server.url, n_qubits=5, connectivity=local.connectivity), "remote"
+
+
+def test_backend_contract(contract_backend):
+    backend, kind = contract_backend
+    circuits = [
+        Circuit(5, (x(0), measure_all()), label="a"),
+        Circuit(3, (x90(1), cz(1, 2), measure_all()), label="b"),
+        Circuit(5, (x(4), measure_all()), label="c"),
+    ]
+    tables = backend.run(circuits, 64, seed=9)
+    assert [t.n_qubits for t in tables] == [5, 3, 5]
+    assert all(t.shots == 64 and sum(t.counts.values()) == 64 for t in tables)
+    if kind != "uniform":  # the flipped qubit shows which circuit a table belongs to
+        assert tables[0].fraction_ones(0) > 0.9 and tables[0].fraction_ones(4) < 0.1
+        assert tables[2].fraction_ones(4) > 0.9 and tables[2].fraction_ones(0) < 0.1
+    assert backend.run(circuits, 64, seed=9) == tables
+    assert submit_and_wait(backend, [], 64, seed=9) == []
+    assert (backend.timing is not None) == (kind == "local")
+    assert (backend.advance_clock(10.0) is not None) == (kind == "local")
 
 
 class TestLocalBackend:
@@ -21,17 +54,6 @@ class TestLocalBackend:
 
     def test_empty_batch(self, ideal_backend_5):
         assert submit_and_wait(ideal_backend_5, [], 10, seed=0) == []
-
-    def test_results_repeatable(self, starmon_backend):
-        c = Circuit(5, (x(0), measure_all()))
-        handle = starmon_backend.submit([c], 128, seed=3)
-        first = starmon_backend.result(handle)
-        second = starmon_backend.result(handle)
-        assert first[0].counts == second[0].counts
-
-    def test_unknown_handle(self, starmon_backend):
-        with pytest.raises(JobNotFoundError):
-            starmon_backend.result("nope")
 
     def test_capability_width(self, starmon_backend):
         too_wide = Circuit(6, (x(5), measure_all()))

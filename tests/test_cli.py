@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from qbench.backends import LocalSimBackend
 from qbench.cli import EXIT_METRIC_INVALID, EXIT_OK, EXIT_USAGE, cli_main
+from qbench.device import starmon5_reference_model
+from qbench.remote import MockServer
 from qbench.reporting import RunStore
 
 
@@ -40,6 +43,15 @@ class TestExitCodes:
              "--shots", "512", "--out", str(tmp_path), "--seed", "3"]
         )
         assert code == EXIT_METRIC_INVALID
+
+    def test_failed_remote_job_exits_one(self, tmp_path, capsys):
+        # the client is not told the star coupling, so the server fails the job
+        with MockServer(LocalSimBackend(starmon5_reference_model())) as srv:
+            code = cli_main(["clops", "--backend", "remote", "--remote-url", srv.url,
+                             "--templates", "2", "--updates", "1", "--out", str(tmp_path)])
+        assert code == EXIT_METRIC_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "unconnected" in err[0]
 
 
 class TestDeterminism:

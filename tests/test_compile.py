@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import random_su2, random_u4
+from helpers import ideal_unitary
 
 from qbench.circuits import Circuit, cz
 from qbench.cliffords import equal_up_to_phase
@@ -10,7 +11,6 @@ from qbench.compile import (
     _ops_matrix_1q,
     cnot_ops,
     h_matrix,
-    ideal_unitary,
     kak_decompose,
     route_ops,
     routed_block,

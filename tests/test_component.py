@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qbench.backends import LocalSimBackend
+from qbench.circuits import TimingModel
 from qbench.cliffords import AVG_PULSES_PER_CLIFFORD
 from qbench.component import (
     CoherenceConfig,
@@ -16,6 +17,7 @@ from qbench.component import (
     measure_readout,
     q_factor,
     readout_fidelity_from_matrix,
+    run_calibration,
     run_rb,
     t1_experiment,
     t2hahn_experiment,
@@ -181,3 +183,17 @@ class TestCoherence:
         res = t2hahn_experiment(ideal_backend_5, 0, CoherenceConfig(max_wait_us=120.0, shots=512, seed=3))
         assert not res.valid
         assert all(f == 0.0 for f in res.fractions)
+
+
+class TestCalibration:
+    def test_q_factor_uses_device_gate_time(self):
+        q = QubitParams(40.0, 20.0)
+        dev = DeviceModel(qubits=(q, q), p1=(0.001, 0.001), p2=0.0,
+                          timing=TimingModel(single_qubit_gate_ns=40.0))
+        summary = run_calibration(
+            LocalSimBackend(dev), seed=3, shots=512, include_crosstalk=False,
+            rb_cfg=RBConfig(lengths=(1, 10, 20, 40), sequences_per_length=2, shots=256, seed=3),
+        )
+        valid_t2 = [r.time_us for r in summary.t2star if r.valid]
+        assert valid_t2
+        assert summary.q_factor == pytest.approx(np.mean(valid_t2) / 0.040)

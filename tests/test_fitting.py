@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
+from helpers import MODEL_FUNCTIONS
 from qbench.fitting import (
     DataSeries,
-    MODEL_FUNCTIONS,
     fit_damped_sinusoid,
     fit_exp_decay,
     fit_geometric,

@@ -1,12 +1,24 @@
 """Job-protocol tests against the bundled mock server."""
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 import requests
 
-from qbench.backends import LocalSimBackend, SubmitTimeout, submit_and_wait
+from qbench.backends import (
+    Backend,
+    BackendError,
+    CapabilityError,
+    LocalSimBackend,
+    SubmitTimeout,
+    submit_and_wait,
+)
 from qbench.circuits import Circuit, measure_all, x
 from qbench.device import ideal_device
 from qbench.remote import MockServer, RemoteBackend
 from qbench.serialization import circuit_to_dict
+from qbench.simulator import ShotTable
 
 
 @pytest.fixture()
@@ -56,16 +68,16 @@ class TestProtocol:
         backend = RemoteBackend(server.url, n_qubits=6)  # wider than the device
         wide = Circuit(6, (x(5), measure_all()))
         handle = backend.submit([wide], 5, seed=1)
-        with pytest.raises(RuntimeError, match="failed"):
+        with pytest.raises(BackendError, match="failed"):
             backend.wait(handle, timeout_s=2.0)
 
 
 class TestTimeout:
     def test_timeout_then_late_retrieval(self):
         with MockServer(LocalSimBackend(ideal_device(3)), auto_complete=False) as srv:
-            backend = RemoteBackend(srv.url, n_qubits=3, poll_interval_s=0.02)
+            backend = RemoteBackend(srv.url, n_qubits=3, poll_interval_s=0.02, timeout_s=0.15)
             with pytest.raises(SubmitTimeout) as err:
-                submit_and_wait(backend, [_circuit()], 10, seed=1, timeout_s=0.15)
+                submit_and_wait(backend, [_circuit()], 10, seed=1)
             handle = err.value.handle
             srv.complete_all()
             backend.wait(handle, timeout_s=5.0)
@@ -78,3 +90,96 @@ class TestTimeout:
             handle = backend.submit([_circuit()], 5, seed=1)
             with pytest.raises(SubmitTimeout):
                 backend.result(handle)
+
+
+class CannedBackend(Backend):
+    """Answers every batch with the same tables, whatever it asked for."""
+
+    def __init__(self, tables: list[ShotTable]) -> None:
+        self.tables = tables
+
+    @property
+    def n_qubits(self) -> int:
+        return 3
+
+    @property
+    def connectivity(self) -> frozenset[tuple[int, int]] | None:
+        return None
+
+    def run(self, circuits, shots, seed) -> list[ShotTable]:
+        return self.tables
+
+
+class TestReplyValidation:
+    @pytest.mark.parametrize(
+        "tables, message",
+        [
+            ([], "0 results for 1 circuits"),
+            ([ShotTable(counts={}, shots=0, seed=1, n_qubits=3)], "malformed"),
+            ([ShotTable(counts={"100": 5}, shots=5, seed=1, n_qubits=3)], "malformed"),
+            ([ShotTable(counts={"10": 10}, shots=10, seed=1, n_qubits=2)], "malformed"),
+        ],
+        ids=["missing", "empty_counts", "short_counts", "wrong_width"],
+    )
+    def test_bad_reply_is_backend_error(self, tables, message):
+        with MockServer(CannedBackend(tables)) as srv:
+            backend = RemoteBackend(srv.url, n_qubits=3)
+            with pytest.raises(BackendError, match=message):
+                backend.run([_circuit()], 10, seed=1)
+
+
+class _StatusHandler(BaseHTTPRequestHandler):
+    def log_message(self, *args) -> None:
+        pass
+
+    def do_POST(self) -> None:
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        payload = json.dumps({"error": "stub"}).encode("utf-8")
+        self.send_response(self.server.reply_code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+
+class TestSubmitErrors:
+    @pytest.mark.parametrize(
+        "code, expected",
+        [(400, CapabilityError), (422, CapabilityError), (500, BackendError), (503, BackendError)],
+    )
+    def test_status_code_classified(self, code, expected):
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StatusHandler)
+        httpd.reply_code = code
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = httpd.server_address
+            backend = RemoteBackend(f"http://{host}:{port}", n_qubits=3)
+            with pytest.raises(BackendError, match=str(code)) as err:
+                backend.submit([_circuit()], 5, seed=1)
+            assert err.type is expected
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("timeouts", [1, 2])
+    def test_timeout_retried_once_with_same_key(self, server, monkeypatch, timeouts):
+        real_post = requests.Session.post
+        keys = []
+
+        def flaky_post(session, url, **kwargs):
+            keys.append(kwargs["json"]["idempotency_key"])
+            if len(keys) <= timeouts:
+                raise requests.Timeout("injected timeout")
+            return real_post(session, url, **kwargs)
+
+        monkeypatch.setattr(requests.Session, "post", flaky_post)
+        backend = RemoteBackend(server.url, n_qubits=3)
+        if timeouts == 1:
+            assert backend.run([_circuit()], 10, seed=1)[0].counts == {"100": 10}
+        else:
+            with pytest.raises(ConnectionError, match="submit failed"):
+                backend.submit([_circuit()], 10, seed=1)
+        assert len(keys) == 2 and keys[0] == keys[1]

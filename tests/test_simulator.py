@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_su2
 from density_oracle import OracleDensity, idle_kraus
+from helpers import probabilities_dict, total_variation_distance
 from qbench.circuits import Circuit, cz, measure_all, wait, x, x90, y90
 from qbench.cliffords import X90_MAT, X_MAT, Y90_MAT
 from qbench.device import DeviceModel, QubitParams, ideal_device
@@ -19,10 +20,8 @@ from qbench.simulator import (
     dephasing_superop,
     depolarizing_superop,
     idle_superop,
-    probabilities_dict,
     run_ideal,
     run_noisy,
-    total_variation_distance,
 )
 
 VEC_I = np.array([1.0, 0.0, 0.0, 1.0])  # vec(I) in the 2*ket + bra index

@@ -4,12 +4,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qbench.backends import FailAfterBackend, LocalSimBackend, UniformRandomBackend
+from helpers import ideal_unitary
+from qbench.backends import Backend, BackendError, LocalSimBackend, UniformRandomBackend
+from qbench.circuits import Circuit
 from qbench.cliffords import equal_up_to_phase
-from qbench.compile import ideal_unitary
 from qbench.component import CoherenceConfig
 from qbench.device import DriftSchedule, ideal_device, starmon5_reference_model
-from qbench.simulator import run_ideal
+from qbench.simulator import ShotTable, run_ideal
 from qbench.system import (
     CLOPSConfig,
     CLOPSPartialError,
@@ -27,6 +28,29 @@ from qbench.system import (
     run_stability,
     seed_from_counts,
 )
+
+
+@dataclasses.dataclass
+class FailAfterBackend(Backend):
+    """Proxies an inner backend, failing after N batches."""
+
+    inner: Backend
+    fail_after: int
+    batches: int = 0
+
+    @property
+    def n_qubits(self) -> int:
+        return self.inner.n_qubits
+
+    @property
+    def connectivity(self) -> frozenset[tuple[int, int]] | None:
+        return self.inner.connectivity
+
+    def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
+        if self.batches >= self.fail_after:
+            raise BackendError("injected backend failure")
+        self.batches += 1
+        return self.inner.run(circuits, shots, seed)
 
 
 class TestModelCircuits:
