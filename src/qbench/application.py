@@ -5,6 +5,9 @@ G(N, 1/2) graphs under a wall-clock budget.  Per graph size the average
 sampled cut is normalized between the random baseline |E|/2 and the exact
 optimum; a size passes when that ratio clears the threshold inside the time
 limit, and the score is the largest size with every smaller size passing.
+Each graph's ansatz is compiled once into a parameterized template whose
+X rotations are RZ X90 RZ X90 RZ slots; a simplex step only binds the frame
+angles, the same ones single-qubit synthesis would emit for that rotation.
 
 The algorithm suite runs three textbook circuits per width (hidden-string
 parity, constant-versus-balanced decision, and a Fourier-transform round
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import Backend, submit_and_wait
-from .circuits import Circuit, Gate, measure_all, remap, rz, x
-from .compile import h_ops, route_ops, routed_block, rx_ops, rzz_ops
+from .circuits import Circuit, Gate, ParamCircuit, ParamRZ, cz, measure_all, remap, rz, x, x90
+from .compile import h_ops, route_ops, routed_block, rx_angles, rzz_ops
 from .simulator import run_ideal
 
 
@@ -93,31 +96,54 @@ def maxcut_brute(graph: Graph) -> tuple[int, int]:
 # --- alternating-operator Max-Cut circuits -------------------------------------
 
 
-def maxcut_ansatz(graph: Graph, gammas, betas,
+def _rx_slot(qubit: int, first: int) -> list[Gate | ParamRZ]:
+    """RX(theta) as bound later: RZ X90 RZ X90 RZ with parameters first..first+2."""
+    return [ParamRZ(qubit, first), x90(qubit), ParamRZ(qubit, first + 1),
+            x90(qubit), ParamRZ(qubit, first + 2)]
+
+
+def maxcut_ansatz(graph: Graph, p_depth: int,
                   qubit_map: list[int] | None = None,
                   n_qubits: int | None = None,
-                  connectivity=None) -> Circuit:
-    """Depth-p ansatz: uniform superposition, then cost and mixer layers.
+                  connectivity=None) -> ParamCircuit:
+    """Depth-p ansatz template: uniform superposition, then cost and mixer layers.
 
-    The cost layer applies a ZZ rotation per edge (two CZ each), the mixer an
-    X rotation per node.  Logical nodes map onto physical qubits through
-    ``qubit_map``; unconnected edges are routed through a shared neighbour.
+    The cost layer applies a ZZ rotation per edge (H, CZ, RX(gamma), CZ, H on
+    the second qubit), the mixer an X rotation per node.  Every RX is a
+    ``ParamRZ X90 ParamRZ X90 ParamRZ`` slot, so one template serves every
+    angle; :func:`ansatz_angles` gives its parameter values.  Logical nodes
+    map onto physical qubits through ``qubit_map``; unconnected edges are
+    routed through a shared neighbour.
     """
     n = graph.n_nodes
     mapping = list(range(n)) if qubit_map is None else list(qubit_map[:n])
     width = n_qubits or (max(mapping) + 1)
-    ops: list[Gate] = []
+    ops: list[Gate | ParamRZ] = []
     for node in range(n):
         ops.extend(h_ops(mapping[node]))
-    for gamma, beta in zip(gammas, betas):
+    for layer in range(p_depth):
+        cost, mixer = 6 * layer, 6 * layer + 3
         for a, b in graph.edges:
             pa, pb = mapping[a], mapping[b]
-            block = rzz_ops(pa, pb, float(gamma))
+            block = [*h_ops(pb), cz(pa, pb), *_rx_slot(pb, cost), cz(pa, pb), *h_ops(pb)]
             ops.extend(routed_block(block, pa, pb, connectivity))
         for node in range(n):
-            ops.extend(rx_ops(mapping[node], float(2 * beta)))
+            ops.extend(_rx_slot(mapping[node], mixer))
     ops.append(measure_all())
-    return Circuit(width, tuple(ops), label=f"maxcut_n{n}")
+    return ParamCircuit(width, tuple(ops), 6 * p_depth, label=f"maxcut_n{n}")
+
+
+def ansatz_angles(gammas, betas) -> list[float]:
+    """Parameter values of :func:`maxcut_ansatz` for cost angles gamma and mixer angles beta.
+
+    Each layer binds RX(gamma) in its cost slots and RX(2 beta) in its mixer
+    slots, with the frame angles single-qubit synthesis emits for them.
+    """
+    values: list[float] = []
+    for gamma, beta in zip(gammas, betas):
+        values.extend(rx_angles(float(gamma)))
+        values.extend(rx_angles(float(2 * beta)))
+    return values
 
 
 class TimeBudgetExceeded(RuntimeError):
@@ -245,12 +271,22 @@ def qaoa_maxcut(
     start = time.perf_counter()
     deadline = None if time_budget_s is None else start + time_budget_s
 
+    if not graph.edges:
+        return QAOAResult((), 0.0, 0, 0, time.perf_counter() - start, [])
+
     def out_of_time() -> bool:
         return deadline is not None and time.perf_counter() >= deadline
 
     order = backend.preferred_qubit_order()
     mapping = order[: graph.n_nodes] if qubit_map is None else qubit_map
     positions = tuple(mapping)
+    # compiled once; each evaluation only binds its angles
+    template = maxcut_ansatz(
+        graph, cfg.p_depth,
+        qubit_map=mapping,
+        n_qubits=backend.n_qubits,
+        connectivity=backend.connectivity,
+    )
     state = {
         "best_sampled": 0,
         "best_mean": -np.inf,
@@ -263,12 +299,7 @@ def qaoa_maxcut(
         if out_of_time():
             raise TimeBudgetExceeded(dict(state))
         gammas, betas = params[: cfg.p_depth], params[cfg.p_depth :]
-        circuit = maxcut_ansatz(
-            graph, gammas, betas,
-            qubit_map=mapping,
-            n_qubits=backend.n_qubits,
-            connectivity=backend.connectivity,
-        )
+        circuit = template.bind(ansatz_angles(gammas, betas))
         (table,) = submit_and_wait(
             backend, [circuit], cfg.shots, seed=seed * 7 + state["evals"]
         )
@@ -287,9 +318,6 @@ def qaoa_maxcut(
             state["best_mean"] = mean
             state["best_params"] = tuple(map(float, params))
         return mean
-
-    if not graph.edges:
-        return QAOAResult((), 0.0, 0, 0, time.perf_counter() - start, [])
 
     x0 = np.array([0.8] * cfg.p_depth + [0.4] * cfg.p_depth)
     final_mean = None

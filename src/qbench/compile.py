@@ -12,11 +12,12 @@ fully-connected device needs.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
-from .circuits import Gate, cz, normalize_angle, rz, x, x90
+from .circuits import Gate, ParamRZ, cz, normalize_angle, rz, x, x90
 from .cliffords import X90_MAT, X_MAT, equal_up_to_phase, rz_matrix
 
 _EPS = 1e-12
@@ -63,15 +64,31 @@ def su2_ops(u: np.ndarray, qubit: int) -> list[Gate]:
         b = -p + q + np.pi / 2
         return _cleanup([rz(qubit, b), x90(qubit), rz(qubit, a)], v, qubit)
 
-    # generic ZXZXZ: Rz(alpha) X90 Rz(beta) X90 Rz(gamma) as a matrix product
+    gamma, beta, alpha = zxzxz_angles(v)
+    ops = [rz(qubit, gamma), x90(qubit), rz(qubit, beta), x90(qubit), rz(qubit, alpha)]
+    return _cleanup(ops, v, qubit)
+
+
+def zxzxz_angles(v: np.ndarray) -> tuple[float, float, float]:
+    """Angles (gamma, beta, alpha) of Rz(alpha) X90 Rz(beta) X90 Rz(gamma) = v.
+
+    ``v`` has unit determinant.  This is the generic branch of ``su2_ops``;
+    it reproduces any such ``v`` up to global phase, fast-path targets too.
+    """
+    a00, a01 = abs(v[0, 0]), abs(v[0, 1])
     beta = 2 * np.arctan2(a00, a01)
     p, q = np.angle(v[0, 0]), np.angle(v[0, 1])
     alpha_plus_gamma = -2 * p - np.pi  # arg(M00) = -(a+g)/2 - pi/2
     alpha_minus_gamma = -2 * q - np.pi
     alpha = (alpha_plus_gamma + alpha_minus_gamma) / 2
     gamma = (alpha_plus_gamma - alpha_minus_gamma) / 2
-    ops = [rz(qubit, gamma), x90(qubit), rz(qubit, beta), x90(qubit), rz(qubit, alpha)]
-    return _cleanup(ops, v, qubit)
+    return gamma, beta, alpha
+
+
+def rx_angles(theta: float) -> tuple[float, float, float]:
+    """The three frame angles ``su2_ops`` emits for RX(theta) on its generic path."""
+    u = rx_matrix(theta)
+    return zxzxz_angles(u / np.sqrt(np.linalg.det(u)))
 
 
 def _ops_matrix_1q(ops: list[Gate]) -> np.ndarray:
@@ -278,19 +295,18 @@ def rzz_ops(qa: int, qb: int, theta: float) -> list[Gate]:
     return frame.ops
 
 
-def rx_ops(qubit: int, theta: float) -> list[Gate]:
-    return su2_ops(rx_matrix(theta), qubit)
+@functools.cache
+def h_ops(qubit: int) -> tuple[Gate, ...]:
+    return tuple(su2_ops(h_matrix(), qubit))
 
 
-def h_ops(qubit: int) -> list[Gate]:
-    return su2_ops(h_matrix(), qubit)
+@functools.cache
+def cnot_ops(control: int, target: int) -> tuple[Gate, ...]:
+    return h_ops(target) + (cz(control, target),) + h_ops(target)
 
 
-def cnot_ops(control: int, target: int) -> list[Gate]:
-    return h_ops(target) + [cz(control, target)] + h_ops(target)
-
-
-def swap_ops(a: int, b: int) -> list[Gate]:
+@functools.cache
+def swap_ops(a: int, b: int) -> tuple[Gate, ...]:
     return cnot_ops(a, b) + cnot_ops(b, a) + cnot_ops(a, b)
 
 
@@ -324,19 +340,24 @@ def route_ops(ops: list[Gate], edges: frozenset[tuple[int, int]] | None) -> list
     return out
 
 
-def routed_block(block: list[Gate], a: int, b: int,
-                 edges: frozenset[tuple[int, int]] | None) -> list[Gate]:
+def routed_block(block: list[Gate | ParamRZ], a: int, b: int,
+                 edges: frozenset[tuple[int, int]] | None) -> list[Gate | ParamRZ]:
     """Route a whole two-qubit block at once.
 
     If (a, b) is connected the block passes through unchanged; otherwise one
     qubit is swapped next to the other, the block runs there, and the swap is
-    undone, costing six routing CZs per block instead of six per CZ.
+    undone, costing six routing CZs per block instead of six per CZ.  The
+    block may hold ``ParamRZ`` slots; they move with their qubit.
     """
     if edges is None or tuple(sorted((a, b))) in edges:
         return list(block)
     c = _common_neighbor(a, b, edges)
-    moved = []
+    moved: list[Gate | ParamRZ] = []
     for g in block:
-        qs = tuple(c if q == a else q for q in g.qubits)
-        moved.append(Gate(g.kind, qs, angle_rad=g.angle_rad, duration_ns=g.duration_ns))
-    return swap_ops(a, c) + moved + swap_ops(a, c)
+        if isinstance(g, ParamRZ):
+            moved.append(ParamRZ(c if g.qubit == a else g.qubit, g.index))
+        else:
+            qs = tuple(c if q == a else q for q in g.qubits)
+            moved.append(Gate(g.kind, qs, angle_rad=g.angle_rad, duration_ns=g.duration_ns))
+    swap = list(swap_ops(a, c))
+    return swap + moved + swap

@@ -37,7 +37,9 @@ class RemoteBackend(Backend):
 
     ``run`` submits a batch, waits up to ``timeout_s`` for it and fetches its
     tables.  On :class:`SubmitTimeout` the handle stays valid, and ``wait``
-    and ``result`` retrieve the tables later.
+    and ``result`` retrieve the tables later; once ``run`` has the tables it
+    forgets the handle.  A submission that fails twice on the network raises
+    :class:`BackendError`.
     """
 
     def __init__(
@@ -71,7 +73,9 @@ class RemoteBackend(Backend):
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
         handle = self.submit(circuits, shots, seed)
         self.wait(handle, self.timeout_s)
-        return self.result(handle)
+        tables = self.result(handle)
+        del self._context[handle]  # a timed-out handle keeps it for late retrieval
+        return tables
 
     def submit(self, circuits: list[Circuit], shots: int, seed: int) -> str:
         body = {
@@ -89,7 +93,7 @@ class RemoteBackend(Backend):
                 last_err = err
                 time.sleep(0.1)
         else:
-            raise ConnectionError(f"submit failed: {last_err}")
+            raise BackendError(f"submit failed: {last_err}")
         if 400 <= resp.status_code < 500:
             raise CapabilityError(f"submit rejected: {resp.status_code} {resp.text}")
         if resp.status_code not in (200, 201):

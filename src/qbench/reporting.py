@@ -9,7 +9,9 @@ JSON losslessly.  A RunStore is one directory per invocation holding
 
 Scalars under the ``scalars`` key are deterministic given seed, config,
 and device; wall-clock measurements live under ``timing`` instead, since
-repeated runs cannot reproduce them bit-for-bit.
+repeated runs cannot reproduce them bit-for-bit.  The one documented
+exception is Q-score: each size's pass/fail verdict, and so the score,
+compares the size's wall-clock ``elapsed`` with ``time_limit_s``.
 """
 from __future__ import annotations
 

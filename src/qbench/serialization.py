@@ -1,4 +1,4 @@
-"""JSON schemas for circuits and shot tables.
+"""JSON schema for circuits.
 
 Circuit documents are flat: {"n_qubits", "ops": [{"kind", "qubits",
 "angle_rad"?, "duration_ns"?}], "label"}.  Angles survive a round trip
@@ -8,7 +8,6 @@ representation (up to 17 significant digits).
 from __future__ import annotations
 
 from .circuits import Circuit, Gate
-from .simulator import ShotTable
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:
@@ -34,21 +33,3 @@ def circuit_from_dict(doc: dict) -> Circuit:
         for op in doc["ops"]
     )
     return Circuit(int(doc["n_qubits"]), ops, label=doc.get("label", ""))
-
-
-def shot_table_to_dict(table: ShotTable) -> dict:
-    return {
-        "counts": dict(table.counts),
-        "shots": table.shots,
-        "seed": table.seed,
-        "n_qubits": table.n_qubits,
-    }
-
-
-def shot_table_from_dict(doc: dict) -> ShotTable:
-    return ShotTable(
-        counts={k: int(v) for k, v in doc["counts"].items()},
-        shots=int(doc["shots"]),
-        seed=int(doc.get("seed", -1)),
-        n_qubits=int(doc["n_qubits"]),
-    )

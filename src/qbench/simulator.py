@@ -2,12 +2,19 @@
 
 The ideal path evolves a pure state and returns exact Born probabilities;
 it is the classical oracle used for heavy-output sets and fidelity
-references.  The noisy path evolves a density matrix: every physical pulse
-is its unitary followed by a depolarizing channel, every CZ is followed by
-two-qubit depolarizing noise, idle decay (amplitude damping to the T1 and
-extra pure dephasing to the T2 of each qubit) runs for the duration of
-every scheduling layer on every qubit, and sampled bits pass through
-per-qubit readout confusion with an optional correlated flip term.
+references.  Each qubit keeps one pending 2x2 unitary (its pulses, with RZ
+frames as row scalings) that is applied with one matrix product before
+the qubit's next CZ and at the end.  ``run_noisy`` takes this same path on a
+device whose channels on the circuit's qubits are all the identity (no
+depolarizing, infinite T1, no pure dephasing).
+
+On any other device the noisy path evolves a density matrix: every
+physical pulse is its unitary followed by a depolarizing channel, every CZ
+is followed by two-qubit depolarizing noise, and idle decay (amplitude
+damping to the T1 and extra pure dephasing to the T2 of each qubit) runs
+for the duration of every scheduling layer on every qubit.  On both paths
+sampled bits pass through per-qubit readout confusion with an optional
+correlated flip term.
 
 Every single-qubit map is a 4x4 Liouville superoperator.  Between two CZs a
 qubit's maps multiply into one, applied to the density matrix with a single
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import Circuit
 from .cliffords import X90_MAT, X_MAT, Y90_MAT
 from .device import DeviceModel
 
@@ -40,27 +47,50 @@ _GATE_1Q = {"X": X_MAT, "X90": X90_MAT, "Y90": Y90_MAT}
 
 # --- pure-state simulation --------------------------------------------------
 
-def apply_gate_to_state(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """Apply one gate to a pure state stored as a (2,)*n tensor."""
-    if gate.kind in _GATE_1Q:
-        q = gate.qubits[0]
-        return np.moveaxis(np.tensordot(_GATE_1Q[gate.kind], psi, axes=([1], [q])), 0, q)
-    if gate.kind == "RZ":
-        q = gate.qubits[0]
-        shape = [1] * n
-        shape[q] = 2
-        phases = np.exp(np.array([-0.5j, 0.5j]) * gate.angle_rad).reshape(shape)
-        return psi * phases
-    if gate.kind == "CZ":
-        a, b = gate.qubits
-        psi = psi.copy()
-        idx = [slice(None)] * n
-        idx[a], idx[b] = 1, 1
-        psi[tuple(idx)] *= -1.0
-        return psi
-    if gate.kind == "WAIT":
-        return psi
-    raise ValueError(f"cannot apply {gate.kind} to a pure state")
+_IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+def _evolve_pure(circuit: Circuit, qubits: list[int]) -> np.ndarray:
+    """Pure state of ``qubits`` (a (2,)*k tensor, in that order) after the body.
+
+    Each qubit keeps one pending 2x2 unitary that collects its pulses and RZ
+    frames (row scaling) since its last CZ, applied with one matrix product
+    before its next CZ and at the end.  WAIT is the identity.
+    """
+    k = len(qubits)
+    pos = {q: i for i, q in enumerate(qubits)}
+    psi = np.zeros((2,) * k, dtype=complex)
+    psi[(0,) * k] = 1.0
+    pending: list[np.ndarray | None] = [None] * k
+
+    def flush(i: int) -> None:
+        nonlocal psi
+        if pending[i] is not None:
+            psi = (pending[i] @ psi.reshape(2**i, 2, -1)).reshape(psi.shape)
+            pending[i] = None
+
+    for g in circuit.body():
+        if g.kind in _GATE_1Q:
+            i = pos[g.qubits[0]]
+            u = _GATE_1Q[g.kind]
+            pending[i] = u if pending[i] is None else u @ pending[i]
+        elif g.kind == "RZ":
+            i = pos[g.qubits[0]]
+            phase = cmath.exp(-0.5j * g.angle_rad)
+            u = (_IDENTITY_2 if pending[i] is None else pending[i]).copy()
+            u[0] *= phase
+            u[1] *= phase.conjugate()
+            pending[i] = u
+        elif g.kind == "CZ":
+            a, b = pos[g.qubits[0]], pos[g.qubits[1]]
+            flush(a)
+            flush(b)
+            idx = [slice(None)] * k
+            idx[a], idx[b] = 1, 1
+            psi[tuple(idx)] *= -1.0
+    for i in range(k):
+        flush(i)
+    return psi
 
 
 def run_ideal(circuit: Circuit, cap: int = IDEAL_QUBIT_CAP) -> np.ndarray:
@@ -68,11 +98,7 @@ def run_ideal(circuit: Circuit, cap: int = IDEAL_QUBIT_CAP) -> np.ndarray:
     n = circuit.n_qubits
     if n > cap:
         raise ValueError(f"ideal simulation capped at {cap} qubits, got {n}")
-    psi = np.zeros((2,) * n, dtype=complex)
-    psi[(0,) * n] = 1.0
-    for g in circuit.body():
-        psi = apply_gate_to_state(psi, g, n)
-    probs = np.abs(psi.reshape(-1)) ** 2
+    probs = np.abs(_evolve_pure(circuit, list(range(n))).reshape(-1)) ** 2
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError("state norm drifted during ideal simulation")
@@ -288,6 +314,36 @@ def _evolve(circuit: Circuit, device: DeviceModel) -> tuple[list[int], _Density 
     return active, state
 
 
+def _noiseless(device: DeviceModel, qubits: list[int]) -> bool:
+    """True when every channel on these qubits is the identity: no pulse or
+    CZ depolarizing, infinite T1 and no pure dephasing."""
+    # with T1 infinite, whether the idle channel is the identity does not
+    # depend on the duration probed
+    return device.p2 == 0 and all(
+        device.p1[q] == 0
+        and math.isinf(device.qubits[q].t1_us)
+        and idle_superop(device.qubits[q].t1_us, device.qubits[q].t2_us, 1.0) is None
+        for q in qubits
+    )
+
+
+def _outcome_probs(circuit: Circuit, device: DeviceModel) -> tuple[list[int], np.ndarray | None]:
+    """The circuit's active qubits and their outcome distribution.
+
+    A noiseless device takes the pure-state path; any other the fused
+    density-matrix path.
+    """
+    active = sorted({q for g in circuit.ops for q in g.qubits})
+    if not active:
+        return active, None
+    if _noiseless(device, active):
+        probs = np.abs(_evolve_pure(circuit, active).reshape(-1)) ** 2
+        return active, probs / probs.sum()
+    _, state = _evolve(circuit, device)
+    state.check()
+    return active, state.diagonal_probs()
+
+
 def run_noisy(
     circuit: Circuit,
     device: DeviceModel,
@@ -313,11 +369,10 @@ def run_noisy(
     seed_val = -1 if isinstance(seed, np.random.Generator) else int(seed)
 
     bits = np.zeros((shots, n), dtype=np.uint8)
-    active, state = _evolve(circuit, device)
-    if state is not None:
+    active, probs = _outcome_probs(circuit, device)
+    if active:
         k = len(active)
-        state.check()
-        outcomes = rng.choice(2**k, size=shots, p=state.diagonal_probs())
+        outcomes = rng.choice(2**k, size=shots, p=probs)
         for i, q_phys in enumerate(active):
             bits[:, q_phys] = (outcomes >> (k - 1 - i)) & 1
 

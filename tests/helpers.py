@@ -1,9 +1,13 @@
 """Reference helpers that only the tests use: dense unitaries, group-law
-shortcuts, distribution helpers and the fit-model table."""
+shortcuts, distribution helpers, shot-table documents, the fit-model
+table and a random-circuit strategy."""
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 
 from qbench import cliffords
-from qbench.circuits import Circuit
+from qbench.circuits import Circuit, Gate, cz, measure_all, rz, wait
 from qbench.fitting import (
     _EXP_NAMES,
     _GEOM_NAMES,
@@ -15,7 +19,8 @@ from qbench.fitting import (
     _sin_f,
     _sin_jac,
 )
-from qbench.simulator import apply_gate_to_state, index_to_bitstring
+from qbench.simulator import ShotTable, index_to_bitstring
+from state_oracle import apply_gate_to_state
 
 MODEL_FUNCTIONS = {
     "geometric": (_geom_f, _geom_jac, _GEOM_NAMES),
@@ -62,3 +67,44 @@ def ideal_unitary(circuit: Circuit) -> np.ndarray:
             psi = apply_gate_to_state(psi, g, n)
         cols.append(psi.reshape(-1))
     return np.array(cols).T
+
+
+def shot_table_to_dict(table: ShotTable) -> dict:
+    return {
+        "counts": dict(table.counts),
+        "shots": table.shots,
+        "seed": table.seed,
+        "n_qubits": table.n_qubits,
+    }
+
+
+def shot_table_from_dict(doc: dict) -> ShotTable:
+    return ShotTable(
+        counts={k: int(v) for k, v in doc["counts"].items()},
+        shots=int(doc["shots"]),
+        seed=int(doc.get("seed", -1)),
+        n_qubits=int(doc["n_qubits"]),
+    )
+
+
+@st.composite
+def native_circuits(draw, max_qubits: int = 4) -> Circuit:
+    """Random circuits over every gate kind: pulses, RZ, CZ, WAIT, and an
+    optional final MEASURE_ALL."""
+    n = draw(st.integers(1, max_qubits))
+    kinds = ["X", "X90", "Y90", "RZ", "WAIT"] + (["CZ"] if n > 1 else [])
+    ops = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=30)):
+        q = draw(st.integers(0, n - 1))
+        if kind == "CZ":
+            other = draw(st.integers(0, n - 2))
+            ops.append(cz(q, other if other < q else other + 1))
+        elif kind == "RZ":
+            ops.append(rz(q, draw(st.floats(-4 * math.pi, 4 * math.pi))))
+        elif kind == "WAIT":
+            ops.append(wait(q, draw(st.floats(0.0, 1e5))))
+        else:
+            ops.append(Gate(kind, (q,)))
+    if draw(st.booleans()):
+        ops.append(measure_all())
+    return Circuit(n, tuple(ops), label=draw(st.text(max_size=8)))

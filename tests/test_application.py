@@ -3,14 +3,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from helpers import ideal_unitary
 from qbench.backends import LocalSimBackend, UniformRandomBackend
+from qbench.circuits import Circuit, Gate, measure_all, normalize_angle, rz, x90
+from qbench.cliffords import equal_up_to_phase
+from qbench.compile import h_matrix, routed_block, rx_angles, rx_matrix, rzz_ops, su2_ops
 from qbench.device import ideal_device
 from qbench.application import (
     Graph,
     QAOAConfig,
     QScoreConfig,
     TimeBudgetExceeded,
+    ansatz_angles,
     bv_circuit,
     cut_value,
     dj_circuit,
@@ -74,20 +81,80 @@ class TestMaxcutBrute:
         assert maxcut_brute(Graph(4, ()))[0] == 0
 
 
+def _synthesized_ansatz(graph, gammas, betas, qubit_map=None, n_qubits=None,
+                        connectivity=None) -> Circuit:
+    """The ansatz synthesized gate by gate for one set of angles: each H, ZZ
+    block and RX goes through single-qubit synthesis on its own."""
+    n = graph.n_nodes
+    mapping = list(range(n)) if qubit_map is None else list(qubit_map[:n])
+    ops = [g for node in range(n) for g in su2_ops(h_matrix(), mapping[node])]
+    for gamma, beta in zip(gammas, betas):
+        for a, b in graph.edges:
+            pa, pb = mapping[a], mapping[b]
+            ops.extend(routed_block(rzz_ops(pa, pb, gamma), pa, pb, connectivity))
+        for node in range(n):
+            ops.extend(su2_ops(rx_matrix(2 * beta), mapping[node]))
+    ops.append(measure_all())
+    return Circuit(n_qubits or max(mapping) + 1, tuple(ops), label=f"maxcut_n{n}")
+
+
+@st.composite
+def ansatz_cases(draw):
+    n = draw(st.integers(2, 5))
+    edges = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                          min_size=1, unique=True))
+    p = draw(st.sampled_from([1, 2]))
+    angles = st.floats(-2 * np.pi, 2 * np.pi)
+    gammas = draw(st.lists(angles, min_size=p, max_size=p))
+    betas = draw(st.lists(angles, min_size=p, max_size=p))
+    if draw(st.booleans()):
+        layout = {"qubit_map": [2, 0, 1, 3, 4][:n], "n_qubits": 5, "connectivity": STAR_5}
+    else:
+        layout = {}
+    return Graph(n, tuple(edges)), gammas, betas, layout
+
+
+STAR_5 = frozenset({(0, 2), (1, 2), (2, 3), (2, 4)})
+
+
 class TestAnsatz:
     def test_zero_angles_give_random_expectation(self):
         g = gen_erdos_renyi(4, 0.5, seed=3)
-        probs = run_ideal(maxcut_ansatz(g, [0.0], [0.0]))
+        probs = run_ideal(maxcut_ansatz(g, 1).bind(ansatz_angles([0.0], [0.0])))
         expected = sum(p * cut_value(g, i) for i, p in enumerate(probs))
         assert expected == pytest.approx(g.n_edges / 2, abs=1e-9)
 
     def test_respects_connectivity(self):
         g = Graph(3, ((0, 1), (1, 2), (0, 2)))
         star = frozenset({(0, 2), (1, 2)})
-        c = maxcut_ansatz(g, [0.4], [0.3], connectivity=star, n_qubits=3)
+        c = maxcut_ansatz(g, 1, connectivity=star, n_qubits=3)
         for gate in c.ops:
-            if gate.kind == "CZ":
+            if isinstance(gate, Gate) and gate.kind == "CZ":
                 assert tuple(sorted(gate.qubits)) in star
+
+    @settings(max_examples=200, deadline=None)
+    @given(ansatz_cases())
+    def test_bound_template_is_the_synthesized_ansatz(self, case):
+        graph, gammas, betas, layout = case
+        # fast paths: synthesis emits fewer pulses, and a ZZ block drops an
+        # RX(gamma) that is the identity to 1e-10
+        for theta in [*gammas, *(2 * b for b in betas)]:
+            assume(len(su2_ops(rx_matrix(theta), 0)) == 5)
+        for gamma in gammas:
+            assume(not equal_up_to_phase(rx_matrix(gamma), np.eye(2), tol=1e-10))
+        want = _synthesized_ansatz(graph, gammas, betas, **layout)
+        got = maxcut_ansatz(graph, len(gammas), **layout).bind(ansatz_angles(gammas, betas))
+        assert (got.n_qubits, got.label) == (want.n_qubits, want.label)
+        assert [(g.kind, g.qubits) for g in got.ops] == [(g.kind, g.qubits) for g in want.ops]
+        for g, w in zip(got.ops, want.ops):
+            if g.kind == "RZ":
+                assert abs(normalize_angle(g.angle_rad - w.angle_rad)) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 2, np.pi, -np.pi / 2, 3 * np.pi, 1e-10])
+    def test_rx_slot_exact_on_fast_path_angles(self, theta):
+        gamma, beta, alpha = rx_angles(theta)
+        got = ideal_unitary(Circuit(1, (rz(0, gamma), x90(0), rz(0, beta), x90(0), rz(0, alpha))))
+        assert equal_up_to_phase(got, rx_matrix(theta), tol=1e-12)
 
 
 class TestQAOA:

@@ -1,6 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import native_circuits
 
 from qbench.circuits import (
     Circuit,
@@ -145,6 +149,16 @@ class TestParamCircuit:
         pc = parameterize_rz(Circuit(1, (rz(0, 1.0),)))
         with pytest.raises(ValueError):
             pc.bind([float("inf")])
+
+    @settings(max_examples=100, deadline=None)
+    @given(native_circuits(), st.data())
+    def test_bind_replaces_exactly_the_rz_angles(self, circuit, data):
+        pc = parameterize_rz(circuit)
+        angles = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=pc.n_params,
+                                    max_size=pc.n_params))
+        it = iter(angles)
+        want = tuple(rz(g.qubits[0], next(it)) if g.kind == "RZ" else g for g in circuit.ops)
+        assert pc.bind(angles) == Circuit(circuit.n_qubits, want, label=circuit.label)
 
     def test_shared_parameter_index(self):
         pc = ParamCircuit(1, (ParamRZ(0, 0), x90(0), ParamRZ(0, 0)), n_params=1)

@@ -5,7 +5,7 @@ import pytest
 from conftest import random_su2, random_u4
 from helpers import ideal_unitary
 
-from qbench.circuits import Circuit, cz
+from qbench.circuits import Circuit, ParamCircuit, ParamRZ, cz, x90
 from qbench.cliffords import equal_up_to_phase
 from qbench.compile import (
     _ops_matrix_1q,
@@ -129,6 +129,15 @@ class TestRouting:
                 assert tuple(sorted(g.qubits)) in STAR
         direct = ideal_unitary(Circuit(3, tuple(block)))
         via = ideal_unitary(Circuit(3, tuple(routed)))
+        assert equal_up_to_phase(direct, via, 1e-7)
+
+    def test_routed_block_moves_param_slots(self, rng):
+        block = [ParamRZ(0, 0), x90(0), ParamRZ(1, 1), *su4_ops(random_u4(rng), 0, 1),
+                 ParamRZ(0, 1), x90(1), ParamRZ(1, 0)]
+        routed = ParamCircuit(3, tuple(routed_block(block, 0, 1, STAR)), 2)
+        angles = rng.uniform(-np.pi, np.pi, 2)
+        direct = ideal_unitary(ParamCircuit(3, tuple(block), 2).bind(angles))
+        via = ideal_unitary(routed.bind(angles))
         assert equal_up_to_phase(direct, via, 1e-7)
 
     def test_no_route_available(self):

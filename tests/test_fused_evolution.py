@@ -1,4 +1,5 @@
-"""The fused-superoperator evolution agrees with the gate-by-gate oracle."""
+"""The fused evolutions, density-matrix and pure-state, agree with their
+gate-by-gate oracles."""
 import math
 
 import numpy as np
@@ -7,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import density_oracle
+import state_oracle
+from helpers import native_circuits
 from qbench.application import (
+    ansatz_angles,
     bv_circuit,
     dj_circuit,
     gen_erdos_renyi,
@@ -17,7 +21,7 @@ from qbench.application import (
 from qbench.circuits import Circuit, TimingModel, cz, measure_all, rz, wait, x, x90, y90
 from qbench.component import RBConfig, gen_rb_sequences
 from qbench.device import DeviceModel, QubitParams, ideal_device, starmon5_reference_model
-from qbench.simulator import _evolve
+from qbench.simulator import _evolve, _evolve_pure, _noiseless, _outcome_probs, run_noisy
 from qbench.system import compile_qv_circuit, gen_qv_spec
 
 TOL = 1e-12
@@ -122,10 +126,11 @@ def test_qv_circuits_agree(width):
 
 def test_qaoa_circuits_agree():
     graph = gen_erdos_renyi(4, seed=3)
-    c = maxcut_ansatz(graph, [0.4, 1.1], [0.7, 0.2], qubit_map=[2, 0, 1, 3], n_qubits=5,
-                      connectivity=STARMON.edge_set())
+    c = maxcut_ansatz(graph, 2, qubit_map=[2, 0, 1, 3], n_qubits=5,
+                      connectivity=STARMON.edge_set()).bind(ansatz_angles([0.4, 1.1], [0.7, 0.2]))
     assert_agrees_with_oracle(c, STARMON)
-    assert_agrees_with_oracle(maxcut_ansatz(graph, [0.4], [0.7]), ideal_device(4))
+    c = maxcut_ansatz(graph, 1).bind(ansatz_angles([0.4], [0.7]))
+    assert_agrees_with_oracle(c, ideal_device(4))
 
 
 @pytest.mark.parametrize("circuit", [
@@ -136,3 +141,59 @@ def test_qaoa_circuits_agree():
 ], ids=["bv", "dj_balanced", "dj_constant", "qft"])
 def test_app_suite_circuits_agree(circuit):
     assert_agrees_with_oracle(circuit, STARMON)
+
+
+# --- the pure-state path -------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(native_circuits(max_qubits=5))
+def test_pure_evolver_matches_gate_by_gate(circuit):
+    psi = _evolve_pure(circuit, list(range(circuit.n_qubits)))
+    assert np.abs(psi - state_oracle.evolve(circuit)).max() <= TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(native_circuits(max_qubits=5))
+def test_noiseless_run_noisy_matches_density_oracle(circuit):
+    device = ideal_device(circuit.n_qubits)
+    active, probs = _outcome_probs(circuit, device)
+    oracle_active, oracle = density_oracle.evolve(circuit, device)
+    assert active == oracle_active
+    if oracle is not None:
+        assert np.abs(probs - oracle.probs()).max() <= TOL
+
+
+def _one_qubit_noisy(**change) -> DeviceModel:
+    """Three noiseless qubits, except that qubit 1 gets ``change``."""
+    base = ideal_device(3)
+    qubits = list(base.qubits)
+    qubits[1] = QubitParams(change.get("t1_us", math.inf), change.get("t2_us", math.inf))
+    p1 = [0.0, change.get("p1", 0.0), 0.0]
+    return DeviceModel(qubits=tuple(qubits), p1=tuple(p1), p2=change.get("p2", 0.0))
+
+
+@pytest.mark.parametrize("change, noiseless", [
+    ({}, True),
+    ({"p1": 1e-4}, False),
+    ({"p2": 1e-4}, False),
+    ({"t1_us": 50.0, "t2_us": 100.0}, False),
+    ({"t2_us": 50.0}, False),
+], ids=["ideal", "p1", "p2", "t1", "dephasing"])
+def test_noiseless_rule(change, noiseless):
+    device = _one_qubit_noisy(**change)
+    assert _noiseless(device, [0, 1, 2]) is noiseless
+    assert _noiseless(device, [0, 2]) is (change.get("p2", 0.0) == 0)
+
+
+def test_noisy_idle_qubit_keeps_pure_path_and_samples():
+    """A noisy qubit the circuit never touches does not force the density path,
+    and sampling draws from the pure-state distribution."""
+    device = _one_qubit_noisy(p1=0.1, t1_us=5.0, t2_us=5.0)
+    circuit = Circuit(3, (x90(0), cz(0, 2), x90(2), measure_all()))
+    active, probs = _outcome_probs(circuit, device)
+    assert active == [0, 2]
+    assert np.abs(probs - np.abs(state_oracle.evolve(Circuit(2, (x90(0), cz(0, 1), x90(1))))
+                                 .reshape(-1)) ** 2).max() <= TOL
+    table = run_noisy(circuit, device, 4000, seed=5)
+    assert all(key[1] == "0" for key in table.counts)
+    assert table.counts.get("000", 0) == pytest.approx(1000, abs=150)

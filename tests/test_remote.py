@@ -19,6 +19,7 @@ from qbench.device import ideal_device
 from qbench.remote import MockServer, RemoteBackend
 from qbench.serialization import circuit_to_dict
 from qbench.simulator import ShotTable
+from qbench.system import CLOPSConfig, CLOPSPartialError, run_clops
 
 
 @pytest.fixture()
@@ -83,6 +84,12 @@ class TestTimeout:
             backend.wait(handle, timeout_s=5.0)
             tables = backend.result(handle)
             assert tables[0].counts == {"100": 10}
+
+    def test_run_forgets_finished_jobs(self, server):
+        backend = RemoteBackend(server.url, n_qubits=3)
+        for seed in range(20):
+            backend.run([_circuit()], 5, seed=seed)
+        assert backend._context == {}
 
     def test_result_before_done_raises(self):
         with MockServer(LocalSimBackend(ideal_device(3)), auto_complete=False) as srv:
@@ -180,6 +187,27 @@ class TestSubmitErrors:
         if timeouts == 1:
             assert backend.run([_circuit()], 10, seed=1)[0].counts == {"100": 10}
         else:
-            with pytest.raises(ConnectionError, match="submit failed"):
+            with pytest.raises(BackendError, match="submit failed"):
                 backend.submit([_circuit()], 10, seed=1)
         assert len(keys) == 2 and keys[0] == keys[1]
+
+
+class TestClopsOverRemote:
+    def test_submit_failure_keeps_completed_rounds(self, server, monkeypatch):
+        """Round 3's submission times out twice: two rounds were completed."""
+        real_post = requests.Session.post
+        posts = []
+
+        def post_failing_round_3(session, url, **kwargs):
+            posts.append(url)
+            if len(posts) in (3, 4):  # round 3 and its one retry
+                raise requests.Timeout("injected timeout")
+            return real_post(session, url, **kwargs)
+
+        monkeypatch.setattr(requests.Session, "post", post_failing_round_3)
+        backend = RemoteBackend(server.url, n_qubits=3)
+        cfg = CLOPSConfig(m_templates=2, k_updates=5, shots=10)
+        with pytest.raises(CLOPSPartialError) as err:
+            run_clops(backend, cfg, measured_qv=4, seed=1)
+        assert err.value.rounds_completed == 2
+        assert len(posts) == 4

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from qbench.reporting import (
     MetricReport,
@@ -9,12 +10,8 @@ from qbench.reporting import (
     scalar,
     write_summary,
 )
-from qbench.serialization import (
-    circuit_from_dict,
-    circuit_to_dict,
-    shot_table_from_dict,
-    shot_table_to_dict,
-)
+from qbench.serialization import circuit_from_dict, circuit_to_dict
+from helpers import native_circuits, shot_table_from_dict, shot_table_to_dict
 from qbench.circuits import Circuit, cz, measure_all, rz, wait, x90
 from qbench.simulator import ShotTable
 
@@ -31,6 +28,11 @@ class TestCircuitSerialization:
         assert back == c
         # angles survive the decimal round trip bit for bit
         assert back.ops[1].angle_rad == c.ops[1].angle_rad
+
+    @settings(max_examples=100, deadline=None)
+    @given(native_circuits())
+    def test_round_trip_random_circuits(self, circuit):
+        assert circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit)))) == circuit
 
     def test_shot_table_round_trip(self):
         t = ShotTable(counts={"01": 3, "10": 5}, shots=8, seed=4, n_qubits=2)
