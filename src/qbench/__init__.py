@@ -10,7 +10,7 @@ any backend speaking the bundled job protocol.
 
 __version__ = "0.1.0"
 
-from .circuits import Circuit, Gate, ParamCircuit, TimingModel, circuit_duration
+from .circuits import Circuit, Gate, ParamCircuit, TimingModel
 from .device import DeviceModel, ideal_device, load_device, save_device, starmon5_reference_model
 from .simulator import ShotTable, run_ideal, run_noisy
 
@@ -19,7 +19,6 @@ __all__ = [
     "Gate",
     "ParamCircuit",
     "TimingModel",
-    "circuit_duration",
     "DeviceModel",
     "ideal_device",
     "load_device",

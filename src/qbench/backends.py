@@ -163,18 +163,12 @@ class LocalSimBackend(Backend):
             t1m, [t2m * j for j in jitter]
         )
 
-    def effective_device(self) -> DeviceModel:
-        return self._effective
-
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
-        tables = []
-        for i, c in enumerate(circuits):
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-            t = run_noisy(c, self._effective, shots, rng)
-            tables.append(
-                ShotTable(counts=t.counts, shots=shots, seed=int(seed), n_qubits=t.n_qubits)
-            )
-        return tables
+        return [
+            run_noisy(c, self._effective, shots,
+                      np.random.default_rng(np.random.SeedSequence([int(seed), i])))
+            for i, c in enumerate(circuits)
+        ]
 
 
 class UniformRandomBackend(Backend):
@@ -204,7 +198,6 @@ class UniformRandomBackend(Backend):
                         for v, k in zip(values, counts)
                     },
                     shots=shots,
-                    seed=int(seed),
                     n_qubits=c.n_qubits,
                 )
             )

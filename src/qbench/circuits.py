@@ -160,6 +160,7 @@ class Circuit:
         return out
 
     def duration_ns(self, timing: TimingModel) -> float:
+        """Total duration in ns under layered scheduling."""
         return sum(
             max(timing.gate_duration_ns(g) for g in layer) for layer in self.layers()
         )
@@ -172,35 +173,6 @@ class Circuit:
 
     def count(self, kind: str) -> int:
         return sum(1 for g in self.ops if g.kind == kind)
-
-    def concat(self, other: "Circuit") -> "Circuit":
-        """Sequential composition; all qubits synchronize at the seam.
-
-        A zero-duration wait fence covers every qubit in a single fresh
-        layer, so the combined duration is exactly the sum of the parts.
-        The fence leads with a qubit from this circuit's final layer to keep
-        the fence from smearing across existing layers.
-        """
-        if self.has_measurement:
-            raise ValueError("cannot append to a measured circuit")
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("qubit counts differ")
-        first = 0
-        if self.ops:
-            last_layer = self.layers()[-1]
-            first = min(q for g in last_layer for q in g.qubits)
-        order = [first] + [q for q in range(self.n_qubits) if q != first]
-        fence = tuple(wait(q, 0.0) for q in order)
-        return Circuit(self.n_qubits, self.ops + fence + other.ops,
-                       label=self.label or other.label)
-
-    def __add__(self, other: "Circuit") -> "Circuit":
-        return self.concat(other)
-
-
-def circuit_duration(circuit: Circuit, timing: TimingModel) -> float:
-    """Total duration in ns under layered scheduling."""
-    return circuit.duration_ns(timing)
 
 
 def remap(circuit: Circuit, mapping: dict[int, int] | list[int], n_qubits: int,

@@ -132,7 +132,10 @@ class LocalFrame:
         targets = range(len(self.pending)) if qubits is None else qubits
         for q in targets:
             m = self.pending[q]
-            if not equal_up_to_phase(m, np.eye(2), tol=1e-10):
+            # skip only a phase times the identity, to 1e-9 per entry; the
+            # trace test equal_up_to_phase is quadratic and would drop
+            # rotations up to ~1e-5 rad
+            if max(abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 0] - m[1, 1])) > 1e-9:
                 self.ops.extend(su2_ops(m, q))
             self.pending[q] = np.eye(2, dtype=complex)
 

@@ -31,6 +31,9 @@ from .circuits import Circuit
 from .serialization import circuit_from_dict, circuit_to_dict
 from .simulator import ShotTable
 
+# finished jobs the mock server keeps for late retrieval; older ones answer 404
+_FINISHED_JOBS_KEPT = 64
+
 
 class RemoteBackend(Backend):
     """Client for the job protocol above.
@@ -56,8 +59,8 @@ class RemoteBackend(Backend):
         self.poll_interval_s = poll_interval_s
         self.timeout_s = timeout_s
         self._session = requests.Session()
-        # handle -> (circuit widths, shots, seed), to check and label the reply
-        self._context: dict[str, tuple[list[int], int, int]] = {}
+        # handle -> (circuit widths, shots), to check the reply
+        self._context: dict[str, tuple[list[int], int]] = {}
 
     @property
     def n_qubits(self) -> int:
@@ -99,7 +102,7 @@ class RemoteBackend(Backend):
         if resp.status_code not in (200, 201):
             raise BackendError(f"submit failed: {resp.status_code} {resp.text}")
         handle = resp.json()["job_id"]
-        self._context[handle] = ([c.n_qubits for c in circuits], int(shots), int(seed))
+        self._context[handle] = ([c.n_qubits for c in circuits], int(shots))
         return handle
 
     def status(self, handle: str) -> dict:
@@ -127,7 +130,7 @@ class RemoteBackend(Backend):
             raise SubmitTimeout(handle, f"job {handle} is {doc['status']}")
         if handle not in self._context:
             raise JobNotFoundError(f"job {handle} was not submitted by this client")
-        widths, shots, seed = self._context[handle]
+        widths, shots = self._context[handle]
         entries = doc.get("results", [])
         if len(entries) != len(widths):
             raise BackendError(
@@ -138,7 +141,6 @@ class RemoteBackend(Backend):
                 ShotTable(
                     counts={k: int(v) for k, v in entry["counts"].items()},
                     shots=shots,
-                    seed=seed,
                     n_qubits=n,
                 )
                 for entry, n in zip(entries, widths)
@@ -152,7 +154,9 @@ class MockServer:
 
     Jobs execute synchronously on submission when ``auto_complete`` is on;
     otherwise they stay queued until :meth:`complete_all`, which is how the
-    timeout path gets tested.
+    timeout path gets tested.  Queued jobs are always kept; of the finished
+    ones only the most recent ``_FINISHED_JOBS_KEPT`` are, each with its
+    idempotency key.
     """
 
     def __init__(self, backend: Backend, host: str = "127.0.0.1", auto_complete: bool = True) -> None:
@@ -160,7 +164,8 @@ class MockServer:
         self.auto_complete = auto_complete
         self._jobs: dict[str, dict] = {}
         self._by_key: dict[str, str] = {}
-        self._pending: dict[str, dict] = {}
+        self._pending: dict[str, tuple] = {}  # job id -> _execute's arguments
+        self._finished: dict[str, str] = {}  # job id -> idempotency key, oldest first
         self._lock = threading.Lock()
 
         server = self
@@ -214,14 +219,13 @@ class MockServer:
         try:
             self.backend.check_capabilities(circuits)
         except CapabilityError as err:
-            with self._lock:
-                self._jobs[job_id] = {"status": "failed", "error": str(err), "results": []}
+            self._finish(job_id, key, {"status": "failed", "error": str(err), "results": []})
             return 201, {"job_id": job_id}
         if self.auto_complete:
-            self._execute(job_id, circuits, shots, seed)
+            self._execute(job_id, key, circuits, shots, seed)
         else:
             with self._lock:
-                self._pending[job_id] = {"circuits": circuits, "shots": shots, "seed": seed}
+                self._pending[job_id] = (key, circuits, shots, seed)
                 self._jobs[job_id] = {"status": "queued", "results": []}
         return 201, {"job_id": job_id}
 
@@ -231,21 +235,30 @@ class MockServer:
                 return 404, {"error": f"unknown job {job_id}"}
             return 200, dict(self._jobs[job_id])
 
-    def _execute(self, job_id: str, circuits: list[Circuit], shots: int, seed: int) -> None:
+    def _execute(self, job_id: str, key: str, circuits: list[Circuit], shots: int,
+                 seed: int) -> None:
         tables = self.backend.run(circuits, shots, seed)
-        doc = {
+        self._finish(job_id, key, {
             "status": "done",
             "results": [{"counts": dict(t.counts)} for t in tables],
-        }
+        })
+
+    def _finish(self, job_id: str, key: str, doc: dict) -> None:
+        """Store a finished job; forget the oldest finished ones beyond the cap."""
         with self._lock:
             self._jobs[job_id] = doc
+            self._finished[job_id] = key
+            while len(self._finished) > _FINISHED_JOBS_KEPT:
+                old = next(iter(self._finished))
+                del self._by_key[self._finished.pop(old)]
+                del self._jobs[old]
 
     def complete_all(self) -> None:
         with self._lock:
             pending = dict(self._pending)
             self._pending.clear()
         for job_id, spec in pending.items():
-            self._execute(job_id, spec["circuits"], spec["shots"], spec["seed"])
+            self._execute(job_id, *spec)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -78,10 +78,6 @@ class MetricReport:
             flags=doc.get("flags", []),
         )
 
-    def scalar_section_json(self) -> str:
-        """Canonical serialization of the deterministic result section."""
-        return json.dumps(self.scalars, sort_keys=True)
-
 
 def scalar(value: float, unit: str) -> dict:
     return {"value": value, "unit": unit}

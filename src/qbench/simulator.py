@@ -1,24 +1,25 @@
-"""Ideal and noisy circuit simulators.
+"""Ideal and noisy circuit simulators, on one fused evolver.
 
-The ideal path evolves a pure state and returns exact Born probabilities;
-it is the classical oracle used for heavy-output sets and fidelity
-references.  Each qubit keeps one pending 2x2 unitary (its pulses, with RZ
-frames as row scalings) that is applied with one matrix product before
-the qubit's next CZ and at the end.  ``run_noisy`` takes this same path on a
-device whose channels on the circuit's qubits are all the identity (no
-depolarizing, infinite T1, no pure dephasing).
+``_evolve`` serves both.  Without a device it evolves a pure state, a
+(2,)*k tensor, and ``run_ideal`` returns its exact Born probabilities; it is
+the classical oracle used for heavy-output sets and fidelity references.
+``run_noisy`` takes the same pure path on a device whose channels on the
+circuit's qubits are all the identity (no depolarizing, infinite T1, no
+pure dephasing).
 
-On any other device the noisy path evolves a density matrix: every
-physical pulse is its unitary followed by a depolarizing channel, every CZ
-is followed by two-qubit depolarizing noise, and idle decay (amplitude
-damping to the T1 and extra pure dephasing to the T2 of each qubit) runs
-for the duration of every scheduling layer on every qubit.  On both paths
-sampled bits pass through per-qubit readout confusion with an optional
-correlated flip term.
+On any other device it evolves a density matrix stored as a (4,)*k tensor:
+axis i holds qubit i's (ket, bra) pair at index 2*ket + bra, so a 4x4
+Liouville superoperator acts on one axis the way a 2x2 unitary acts on a
+pure state.  Every physical pulse is its unitary followed by a depolarizing
+channel, every CZ is followed by two-qubit depolarizing noise, and idle
+decay (amplitude damping to the T1 and extra pure dephasing to the T2 of
+each qubit) runs for the duration of every scheduling layer on every qubit.
 
-Every single-qubit map is a 4x4 Liouville superoperator.  Between two CZs a
-qubit's maps multiply into one, applied to the density matrix with a single
-tensordot before the qubit's next CZ and at the end of the circuit.
+In both modes each qubit's single-qubit maps between two CZs multiply into
+one pending d x d map (d = 2 or 4), applied with one matrix product before
+the qubit's next CZ and at the end; a CZ is a constant sign mask on two
+axes.  Sampled bits then pass through per-qubit readout confusion with an
+optional correlated flip term.
 
 Bit convention everywhere: qubit 0 is the leftmost character of a
 bitstring, i.e. the most significant bit of a basis index.
@@ -45,66 +46,6 @@ IDEAL_QUBIT_CAP = 12
 _GATE_1Q = {"X": X_MAT, "X90": X90_MAT, "Y90": Y90_MAT}
 
 
-# --- pure-state simulation --------------------------------------------------
-
-_IDENTITY_2 = np.eye(2, dtype=complex)
-
-
-def _evolve_pure(circuit: Circuit, qubits: list[int]) -> np.ndarray:
-    """Pure state of ``qubits`` (a (2,)*k tensor, in that order) after the body.
-
-    Each qubit keeps one pending 2x2 unitary that collects its pulses and RZ
-    frames (row scaling) since its last CZ, applied with one matrix product
-    before its next CZ and at the end.  WAIT is the identity.
-    """
-    k = len(qubits)
-    pos = {q: i for i, q in enumerate(qubits)}
-    psi = np.zeros((2,) * k, dtype=complex)
-    psi[(0,) * k] = 1.0
-    pending: list[np.ndarray | None] = [None] * k
-
-    def flush(i: int) -> None:
-        nonlocal psi
-        if pending[i] is not None:
-            psi = (pending[i] @ psi.reshape(2**i, 2, -1)).reshape(psi.shape)
-            pending[i] = None
-
-    for g in circuit.body():
-        if g.kind in _GATE_1Q:
-            i = pos[g.qubits[0]]
-            u = _GATE_1Q[g.kind]
-            pending[i] = u if pending[i] is None else u @ pending[i]
-        elif g.kind == "RZ":
-            i = pos[g.qubits[0]]
-            phase = cmath.exp(-0.5j * g.angle_rad)
-            u = (_IDENTITY_2 if pending[i] is None else pending[i]).copy()
-            u[0] *= phase
-            u[1] *= phase.conjugate()
-            pending[i] = u
-        elif g.kind == "CZ":
-            a, b = pos[g.qubits[0]], pos[g.qubits[1]]
-            flush(a)
-            flush(b)
-            idx = [slice(None)] * k
-            idx[a], idx[b] = 1, 1
-            psi[tuple(idx)] *= -1.0
-    for i in range(k):
-        flush(i)
-    return psi
-
-
-def run_ideal(circuit: Circuit, cap: int = IDEAL_QUBIT_CAP) -> np.ndarray:
-    """Exact outcome probabilities of a circuit on the all-zeros input."""
-    n = circuit.n_qubits
-    if n > cap:
-        raise ValueError(f"ideal simulation capped at {cap} qubits, got {n}")
-    probs = np.abs(_evolve_pure(circuit, list(range(n))).reshape(-1)) ** 2
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise RuntimeError("state norm drifted during ideal simulation")
-    return probs / total
-
-
 def index_to_bitstring(index: int, n: int) -> str:
     return format(index, f"0{n}b")
 
@@ -117,7 +58,6 @@ class ShotTable:
 
     counts: dict[str, int]
     shots: int
-    seed: int
     n_qubits: int
 
     def __post_init__(self) -> None:
@@ -191,127 +131,120 @@ def idle_superop(t1_us: float, t2_us: float, dt_ns: float) -> np.ndarray | None:
     return dephasing_superop(lam) @ amplitude_damping_superop(gamma)
 
 
-# --- density-matrix evolution -------------------------------------------------
+# --- state evolution ---------------------------------------------------------
 
-class _Density:
-    """Density matrix as a (2,)*2n tensor: ket axes first, then bra axes."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        rho = np.zeros((2,) * (2 * n), dtype=complex)
-        rho[(0,) * (2 * n)] = 1.0
-        self.rho = rho
-
-    def apply_superop_1q(self, s: np.ndarray, q: int) -> None:
-        n = self.n
-        rho = np.tensordot(s.reshape(2, 2, 2, 2), self.rho, axes=([2, 3], [q, n + q]))
-        self.rho = np.moveaxis(rho, (0, 1), (q, n + q))
-
-    def apply_cz(self, a: int, b: int) -> None:
-        n = self.n
-        sign = np.ones((2, 2))
-        sign[1, 1] = -1.0
-        shape_ket = [1] * (2 * n)
-        shape_ket[a], shape_ket[b] = 2, 2
-        shape_bra = [1] * (2 * n)
-        shape_bra[n + a], shape_bra[n + b] = 2, 2
-        self.rho = self.rho * sign.reshape(shape_ket)
-        self.rho = self.rho * sign.reshape(shape_bra)
-
-    def depolarize_2q(self, p: float, a: int, b: int) -> None:
-        if p <= 0:
-            return
-        n = self.n
-        tr = np.trace(self.rho, axis1=a, axis2=n + a)
-        # axis positions shift after removing the first pair
-        b_ket = b - 1 if b > a else b
-        b_bra = (n - 1) + b_ket
-        tr = np.trace(tr, axis1=b_ket, axis2=b_bra)
-        out = (1 - p) * self.rho
-        for ba in (0, 1):
-            for bb in (0, 1):
-                idx = [slice(None)] * (2 * n)
-                idx[a], idx[n + a] = ba, ba
-                idx[b], idx[n + b] = bb, bb
-                out[tuple(idx)] += (p / 4.0) * tr
-        self.rho = out
-
-    def check(self) -> None:
-        n = self.n
-        dim = 2**n
-        m = self.rho.reshape(dim, dim)
-        if abs(np.trace(m).real - 1.0) > 1e-9 or abs(np.trace(m).imag) > 1e-9:
-            raise RuntimeError("density matrix trace drifted")
-        if np.abs(m - m.conj().T).max() > 1e-9:
-            raise RuntimeError("density matrix lost Hermiticity")
-        if np.real(np.diag(m)).min() < -1e-12:
-            raise RuntimeError("density matrix has a negative population")
-
-    def diagonal_probs(self) -> np.ndarray:
-        """Outcome probabilities; only round-off negatives that check() admits are clipped."""
-        dim = 2**self.n
-        d = np.real(np.diag(self.rho.reshape(dim, dim)))
-        d = np.clip(d, 0.0, None)
-        return d / d.sum()
+_CZ_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
+# CZ as a sign mask on two axes; both masks are symmetric in the two axes
+_CZ_MASK = {2: _CZ_SIGNS, 4: np.kron(_CZ_SIGNS, _CZ_SIGNS)}
+_TRACE_PAIR = np.outer(_VEC_I, _VEC_I)  # vec(I) on each of two axes
+_KET_BRA_SWAP = [0, 2, 1, 3]  # 2*ket + bra -> 2*bra + ket
 
 
-def _evolve(circuit: Circuit, device: DeviceModel) -> tuple[list[int], _Density | None]:
-    """Evolve the circuit's active qubits; returns them and their final state.
+def _on_axes(mask: np.ndarray, k: int, a: int, b: int) -> np.ndarray:
+    """A symmetric two-axis mask shaped to broadcast over axes a, b of a k-axis state."""
+    shape = [1] * k
+    shape[a] = shape[b] = mask.shape[0]
+    return mask.reshape(shape)
 
-    Each active qubit accumulates its single-qubit maps since its last CZ in
-    one pending superoperator, flushed into the state before its next CZ and
-    at the end; maps on different qubits commute, so the fusion is exact.
+
+def _depolarize_2q(rho: np.ndarray, p: float, a: int, b: int) -> np.ndarray:
+    """rho -> (1 - p) rho + p I/4 (x) tr_ab(rho) on axes a and b."""
+    tr = rho.take(0, a) + rho.take(3, a)
+    b_rest = b - 1 if b > a else b  # b's position once a is traced out
+    tr = tr.take(0, b_rest) + tr.take(3, b_rest)
+    fill = (p / 4.0) * np.expand_dims(tr, (a, b)) * _on_axes(_TRACE_PAIR, rho.ndim, a, b)
+    return (1 - p) * rho + fill
+
+
+def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> np.ndarray:
+    """State of ``qubits`` (in that order) after the circuit body.
+
+    With no device, the pure state (local dimension d = 2) under the ideal
+    gates.  With a device, the density matrix (d = 4) under the device's
+    noise, with idle decay per scheduling layer; WAIT acts only through its
+    duration.  Each qubit keeps one pending d x d map of its single-qubit
+    maps since its last CZ (RZ frames as row scalings), flushed before its
+    next CZ and at the end; maps on different qubits commute, so the fusion
+    is exact.
     """
-    active = sorted({q for g in circuit.ops for q in g.qubits})
-    if not active:
-        return active, None
-    pos = {q: i for i, q in enumerate(active)}
-    state = _Density(len(active))
-    pending: list[np.ndarray | None] = [None] * len(active)
-    deps = [depolarizing_superop(device.p1[q]) for q in active]
-    pulses = {(kind, i): dep @ s for kind, s in _PULSE_SUPEROPS.items()
-              for i, dep in enumerate(deps)}
-    idle_cache: dict[tuple[int, float], np.ndarray | None] = {}
+    k = len(qubits)
+    pos = {q: i for i, q in enumerate(qubits)}
+    if device is None:
+        d, rz_rate, rz_rows = 2, -0.5j, (0, 1)
+        pulses = {kind: [u] * k for kind, u in _GATE_1Q.items()}
+        layers = [circuit.body()]
+    else:
+        d, rz_rate, rz_rows = 4, -1j, (1, 2)
+        deps = [depolarizing_superop(device.p1[q]) for q in qubits]
+        pulses = {kind: [dep @ s for dep in deps] for kind, s in _PULSE_SUPEROPS.items()}
+        layers = circuit.layers()[:-1] if circuit.has_measurement else circuit.layers()
+        idle_cache: dict[tuple[int, float], np.ndarray | None] = {}
+    identity = np.eye(d, dtype=complex)
+    state = np.zeros((d,) * k, dtype=complex)
+    state[(0,) * k] = 1.0
+    pending: list[np.ndarray | None] = [None] * k
+
+    def push(i: int, m: np.ndarray) -> None:
+        pending[i] = m if pending[i] is None else m @ pending[i]
 
     def flush(i: int) -> None:
+        nonlocal state
         if pending[i] is not None:
-            state.apply_superop_1q(pending[i], i)
-        pending[i] = None
+            state = (pending[i] @ state.reshape(d**i, d, -1)).reshape(state.shape)
+            pending[i] = None
 
-    for layer in circuit.layers():
-        if layer[0].kind == "MEASURE_ALL":
-            continue
+    for layer in layers:
         for g in layer:
-            if g.kind in _GATE_1Q:
+            if g.kind in pulses:
                 i = pos[g.qubits[0]]
-                s = pulses[g.kind, i]
-                pending[i] = s if pending[i] is None else s @ pending[i]
+                push(i, pulses[g.kind][i])
             elif g.kind == "RZ":
                 i = pos[g.qubits[0]]
-                phase = cmath.exp(-1j * g.angle_rad)
-                s = (_IDENTITY_4 if pending[i] is None else pending[i]).copy()
-                s[1] *= phase
-                s[2] *= phase.conjugate()
-                pending[i] = s
+                phase = cmath.exp(rz_rate * g.angle_rad)
+                m = (identity if pending[i] is None else pending[i]).copy()
+                m[rz_rows[0]] *= phase
+                m[rz_rows[1]] *= phase.conjugate()
+                pending[i] = m
             elif g.kind == "CZ":
                 a, b = pos[g.qubits[0]], pos[g.qubits[1]]
                 flush(a)
                 flush(b)
-                state.apply_cz(a, b)
-                state.depolarize_2q(device.p2, a, b)
+                state *= _on_axes(_CZ_MASK[d], k, a, b)
+                if device is not None and device.p2 > 0:
+                    state = _depolarize_2q(state, device.p2, a, b)
+        if device is None:
+            continue
         duration = max(device.timing.gate_duration_ns(g) for g in layer)
         if duration > 0:
-            for i, q_phys in enumerate(active):
-                key = (q_phys, duration)
-                if key not in idle_cache:
-                    qp = device.qubits[q_phys]
-                    idle_cache[key] = idle_superop(qp.t1_us, qp.t2_us, duration)
-                s = idle_cache[key]
-                if s is not None:
-                    pending[i] = s if pending[i] is None else s @ pending[i]
-    for i in range(len(active)):
+            for i, q in enumerate(qubits):
+                if (q, duration) not in idle_cache:
+                    qp = device.qubits[q]
+                    idle_cache[q, duration] = idle_superop(qp.t1_us, qp.t2_us, duration)
+                if idle_cache[q, duration] is not None:
+                    push(i, idle_cache[q, duration])
+    for i in range(k):
         flush(i)
-    return active, state
+    return state
+
+
+def _density_probs(rho: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of a (4,)*k density matrix.
+
+    Checks the trace, Hermiticity and populations first; only round-off
+    negatives that pass the check are clipped.
+    """
+    k = rho.ndim
+    pops = rho[(slice(None, None, 3),) * k].reshape(-1)  # ket == bra: indices 0 and 3
+    trace = pops.sum()
+    if abs(trace.real - 1.0) > 1e-9 or abs(trace.imag) > 1e-9:
+        raise RuntimeError("density matrix trace drifted")
+    if np.abs(rho - rho[np.ix_(*[_KET_BRA_SWAP] * k)].conj()).max() > 1e-9:
+        raise RuntimeError("density matrix lost Hermiticity")
+    pops = pops.real
+    if pops.min() < -1e-12:
+        raise RuntimeError("density matrix has a negative population")
+    pops = np.clip(pops, 0.0, None)
+    return pops / pops.sum()
 
 
 def _noiseless(device: DeviceModel, qubits: list[int]) -> bool:
@@ -337,11 +270,21 @@ def _outcome_probs(circuit: Circuit, device: DeviceModel) -> tuple[list[int], np
     if not active:
         return active, None
     if _noiseless(device, active):
-        probs = np.abs(_evolve_pure(circuit, active).reshape(-1)) ** 2
+        probs = np.abs(_evolve(circuit, active, None).reshape(-1)) ** 2
         return active, probs / probs.sum()
-    _, state = _evolve(circuit, device)
-    state.check()
-    return active, state.diagonal_probs()
+    return active, _density_probs(_evolve(circuit, active, device))
+
+
+def run_ideal(circuit: Circuit, cap: int = IDEAL_QUBIT_CAP) -> np.ndarray:
+    """Exact outcome probabilities of a circuit on the all-zeros input."""
+    n = circuit.n_qubits
+    if n > cap:
+        raise ValueError(f"ideal simulation capped at {cap} qubits, got {n}")
+    probs = np.abs(_evolve(circuit, list(range(n)), None).reshape(-1)) ** 2
+    total = probs.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise RuntimeError("state norm drifted during ideal simulation")
+    return probs / total
 
 
 def run_noisy(
@@ -366,8 +309,6 @@ def run_noisy(
             raise ValueError(f"CZ on unconnected pair {g.qubits}")
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    seed_val = -1 if isinstance(seed, np.random.Generator) else int(seed)
-
     bits = np.zeros((shots, n), dtype=np.uint8)
     active, probs = _outcome_probs(circuit, device)
     if active:
@@ -398,4 +339,4 @@ def run_noisy(
     table = {
         index_to_bitstring(int(v), n): int(c) for v, c in zip(values, counts)
     }
-    return ShotTable(counts=table, shots=shots, seed=seed_val, n_qubits=n)
+    return ShotTable(counts=table, shots=shots, n_qubits=n)

@@ -121,11 +121,6 @@ def heavy_set(ideal_probs: np.ndarray) -> set[int]:
     return {int(i) for i in np.nonzero(probs > med)[0]}
 
 
-def heavy_output_mass(ideal_probs: np.ndarray) -> float:
-    hs = heavy_set(ideal_probs)
-    return float(sum(ideal_probs[i] for i in hs))
-
-
 @dataclass(frozen=True)
 class QVConfig:
     n_circuits: int = 100

@@ -1,13 +1,17 @@
 """Reference helpers that only the tests use: dense unitaries, group-law
 shortcuts, distribution helpers, shot-table documents, the fit-model
-table and a random-circuit strategy."""
+table, canonical scalars, the local backend's drifted device and a
+random-circuit strategy."""
+import json
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
 from qbench import cliffords
+from qbench.backends import LocalSimBackend
 from qbench.circuits import Circuit, Gate, cz, measure_all, rz, wait
+from qbench.device import DeviceModel
 from qbench.fitting import (
     _EXP_NAMES,
     _GEOM_NAMES,
@@ -19,7 +23,9 @@ from qbench.fitting import (
     _sin_f,
     _sin_jac,
 )
+from qbench.reporting import MetricReport
 from qbench.simulator import ShotTable, index_to_bitstring
+from qbench.system import heavy_set
 from state_oracle import apply_gate_to_state
 
 MODEL_FUNCTIONS = {
@@ -52,6 +58,21 @@ def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
+def heavy_output_mass(ideal_probs: np.ndarray) -> float:
+    """Ideal probability mass on the heavy outputs."""
+    return float(sum(ideal_probs[i] for i in heavy_set(ideal_probs)))
+
+
+def scalar_section_json(record: MetricReport) -> str:
+    """Canonical serialization of a record's deterministic result section."""
+    return json.dumps(record.scalars, sort_keys=True)
+
+
+def effective_device(backend: LocalSimBackend) -> DeviceModel:
+    """The device the local backend runs at its current clock, drift applied."""
+    return backend._effective
+
+
 def ideal_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of a (measurement-free) circuit body; ignores WAIT."""
     n = circuit.n_qubits
@@ -73,7 +94,6 @@ def shot_table_to_dict(table: ShotTable) -> dict:
     return {
         "counts": dict(table.counts),
         "shots": table.shots,
-        "seed": table.seed,
         "n_qubits": table.n_qubits,
     }
 
@@ -82,7 +102,6 @@ def shot_table_from_dict(doc: dict) -> ShotTable:
     return ShotTable(
         counts={k: int(v) for k, v in doc["counts"].items()},
         shots=int(doc["shots"]),
-        seed=int(doc.get("seed", -1)),
         n_qubits=int(doc["n_qubits"]),
     )
 

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from helpers import heavy_output_mass, scalar_section_json
 from qbench.application import (
     QAOAConfig,
     QScoreConfig,
@@ -42,7 +43,6 @@ from qbench.system import (
     QVConfig,
     clops_value,
     gen_qv_spec,
-    heavy_output_mass,
     ideal_qv_probs,
     run_quantum_volume,
     run_stability,
@@ -294,7 +294,7 @@ def test_criterion_9_determinism(tmp_path):
     args = ["rb", "--qubit", "0", "--seed", "7", "--out", str(tmp_path)]
     ok_cli = cli_main(args) == EXIT_OK and cli_main(args) == EXIT_OK
     sections = [
-        rec.scalar_section_json()
+        scalar_section_json(rec)
         for rec in RunStore(str(tmp_path)).records()
         if rec.metric == "rb"
     ]

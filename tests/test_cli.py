@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from helpers import scalar_section_json
 from qbench.backends import LocalSimBackend
 from qbench.cli import EXIT_METRIC_INVALID, EXIT_OK, EXIT_USAGE, cli_main
 from qbench.device import starmon5_reference_model
@@ -14,7 +15,7 @@ def _scalar_sections(path: str, metric: str) -> list[str]:
     out = []
     for rec in RunStore(path).records():
         if rec.metric == metric:
-            out.append(rec.scalar_section_json())
+            out.append(scalar_section_json(rec))
     return out
 
 

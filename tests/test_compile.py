@@ -1,6 +1,8 @@
 """Unitary-equivalence oracles for the native-gate compiler."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_su2, random_u4
 from helpers import ideal_unitary
@@ -21,6 +23,9 @@ from qbench.compile import (
 )
 
 STAR = frozenset({(0, 2), (1, 2), (2, 3), (2, 4)})
+SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex)
+CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
 
 class TestSU2:
@@ -143,3 +148,93 @@ class TestRouting:
     def test_no_route_available(self):
         with pytest.raises(ValueError):
             route_ops([cz(0, 1)], frozenset({(0, 2)}))
+
+
+# --- degenerate targets ----------------------------------------------------------
+
+def phase_aligned_error(got: np.ndarray, target: np.ndarray) -> float:
+    """Largest entry of |e^{i phi} got - target| at the best global phase phi."""
+    overlap = np.trace(got.conj().T @ target)
+    return float(np.abs(got * (overlap / abs(overlap)) - target).max())
+
+
+def su2_from(a: float, b: float, c: float) -> np.ndarray:
+    """RZ(a) RY(b) RZ(c), which reaches every single-qubit unitary up to phase."""
+    ry = np.array([[np.cos(b / 2), -np.sin(b / 2)], [np.sin(b / 2), np.cos(b / 2)]])
+    return np.diag(np.exp([-0.5j * a, 0.5j * a])) @ ry @ np.diag(np.exp([-0.5j * c, 0.5j * c]))
+
+
+def near_identity(dim: int, eps: float, entries: list[float]) -> np.ndarray:
+    """expm(i eps H) for a Hermitian H built from ``entries``."""
+    m = np.array(entries[: dim * dim]).reshape(dim, dim) + 1j * np.array(
+        entries[dim * dim:]).reshape(dim, dim)
+    vals, vecs = np.linalg.eigh(m + m.conj().T)
+    return vecs @ np.diag(np.exp(1j * eps * vals)) @ vecs.conj().T
+
+
+angles = st.floats(-np.pi, np.pi)
+small = st.one_of(st.floats(1e-13, 1e-6), st.sampled_from([1e-10, 1e-9, 2e-9, 1e-8]))
+
+
+def hermitian_entries(dim: int):
+    return st.lists(st.floats(-1.0, 1.0), min_size=2 * dim * dim, max_size=2 * dim * dim)
+
+
+@st.composite
+def degenerate_su2(draw) -> np.ndarray:
+    kind = draw(st.sampled_from(["identity", "diagonal", "antidiagonal", "balanced",
+                                 "near_diagonal"]))
+    a, b = draw(angles), draw(angles)
+    if kind == "identity":
+        u = np.eye(2, dtype=complex)
+    elif kind == "diagonal":
+        u = np.diag(np.exp([1j * a, 1j * b]))
+    elif kind == "antidiagonal":
+        u = np.array([[0, np.exp(1j * a)], [np.exp(1j * b), 0]])
+    elif kind == "balanced":
+        u = np.diag(np.exp([1j * a, 1j * b])) @ h_matrix() @ np.diag(
+            np.exp([0, 1j * draw(angles)]))
+    else:
+        u = np.diag(np.exp([1j * a, 1j * b])) @ near_identity(2, draw(small),
+                                                              draw(hermitian_entries(2)))
+    return np.exp(1j * draw(angles)) * u
+
+
+@st.composite
+def degenerate_su4(draw) -> np.ndarray:
+    kind = draw(st.sampled_from(["identity", "CZ", "SWAP", "iSWAP", "local", "diagonal",
+                                 "near_diagonal"]))
+    if kind == "identity":
+        u = np.eye(4, dtype=complex)
+    elif kind in ("CZ", "SWAP", "iSWAP"):
+        u = {"CZ": CZ, "SWAP": SWAP, "iSWAP": ISWAP}[kind]
+        if draw(st.booleans()):  # dressed with local gates on both sides
+            left = np.kron(su2_from(*draw(st.tuples(angles, angles, angles))),
+                           su2_from(*draw(st.tuples(angles, angles, angles))))
+            right = np.kron(su2_from(*draw(st.tuples(angles, angles, angles))),
+                            su2_from(*draw(st.tuples(angles, angles, angles))))
+            u = left @ u @ right
+    elif kind == "local":
+        u = np.kron(su2_from(*draw(st.tuples(angles, angles, angles))),
+                    su2_from(*draw(st.tuples(angles, angles, angles))))
+    elif kind == "diagonal":
+        u = np.diag(np.exp(1j * np.array(draw(st.lists(angles, min_size=4, max_size=4)))))
+    else:
+        diag = np.diag(np.exp(1j * np.array(draw(st.lists(angles, min_size=4, max_size=4)))))
+        u = diag @ near_identity(4, draw(small), draw(hermitian_entries(4)))
+    return np.exp(1j * draw(angles)) * u
+
+
+class TestDegenerateTargets:
+    @settings(max_examples=300, deadline=None)
+    @given(degenerate_su2())
+    def test_su2_ops(self, u):
+        got = ideal_unitary(Circuit(1, tuple(su2_ops(u, 0))))
+        assert phase_aligned_error(got, u) <= 1e-8
+
+    @settings(max_examples=300, deadline=None)
+    @given(degenerate_su4())
+    @example(np.kron(np.eye(2), np.diag(np.exp([0, -1e-5j]))))  # a frame within 1e-5 of I
+    def test_su4_ops(self, u):
+        got = ideal_unitary(Circuit(2, tuple(su4_ops(u, 0, 1))))
+        assert phase_aligned_error(got, u) <= 1e-8

@@ -6,10 +6,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
+import qbench.remote
 from qbench.backends import (
     Backend,
     BackendError,
     CapabilityError,
+    JobNotFoundError,
     LocalSimBackend,
     SubmitTimeout,
     submit_and_wait,
@@ -43,8 +45,6 @@ class TestProtocol:
         resp = requests.get(f"{server.url}/jobs/not-a-job")
         assert resp.status_code == 404
         backend = RemoteBackend(server.url, n_qubits=3)
-        from qbench.backends import JobNotFoundError
-
         with pytest.raises(JobNotFoundError):
             backend.status("not-a-job")
 
@@ -99,6 +99,30 @@ class TestTimeout:
                 backend.result(handle)
 
 
+class TestServerMemory:
+    def test_finished_jobs_are_bounded(self, monkeypatch):
+        cap = 4
+        monkeypatch.setattr(qbench.remote, "_FINISHED_JOBS_KEPT", cap)
+        with MockServer(LocalSimBackend(ideal_device(3)), auto_complete=False) as srv:
+            backend = RemoteBackend(srv.url, n_qubits=3)
+            queued = [backend.submit([_circuit()], 5, seed=s) for s in range(2)]
+            srv.auto_complete = True
+            done = []
+            for seed in range(3 * cap):
+                done.append(backend.submit([_circuit()], 5, seed=seed))
+                assert len(srv._jobs) == len(srv._by_key) == len(queued) + min(len(done), cap)
+            for handle in queued:
+                assert backend.status(handle)["status"] == "queued"
+            assert [backend.status(h)["status"] for h in done[-cap:]] == ["done"] * cap
+            with pytest.raises(JobNotFoundError):
+                backend.result(done[0])
+            srv.complete_all()
+            assert len(srv._jobs) == len(srv._by_key) == cap
+            assert backend.result(queued[1])[0].counts == {"100": 5}
+            with pytest.raises(JobNotFoundError):
+                backend.status(done[-cap])
+
+
 class CannedBackend(Backend):
     """Answers every batch with the same tables, whatever it asked for."""
 
@@ -122,9 +146,9 @@ class TestReplyValidation:
         "tables, message",
         [
             ([], "0 results for 1 circuits"),
-            ([ShotTable(counts={}, shots=0, seed=1, n_qubits=3)], "malformed"),
-            ([ShotTable(counts={"100": 5}, shots=5, seed=1, n_qubits=3)], "malformed"),
-            ([ShotTable(counts={"10": 10}, shots=10, seed=1, n_qubits=2)], "malformed"),
+            ([ShotTable(counts={}, shots=0, n_qubits=3)], "malformed"),
+            ([ShotTable(counts={"100": 5}, shots=5, n_qubits=3)], "malformed"),
+            ([ShotTable(counts={"10": 10}, shots=10, n_qubits=2)], "malformed"),
         ],
         ids=["missing", "empty_counts", "short_counts", "wrong_width"],
     )

@@ -35,7 +35,7 @@ class TestCircuitSerialization:
         assert circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit)))) == circuit
 
     def test_shot_table_round_trip(self):
-        t = ShotTable(counts={"01": 3, "10": 5}, shots=8, seed=4, n_qubits=2)
+        t = ShotTable(counts={"01": 3, "10": 5}, shots=8, n_qubits=2)
         assert shot_table_from_dict(shot_table_to_dict(t)) == t
 
 

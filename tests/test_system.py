@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import ideal_unitary
+from helpers import effective_device, heavy_output_mass, ideal_unitary
 from qbench.backends import Backend, BackendError, LocalSimBackend, UniformRandomBackend
 from qbench.circuits import Circuit
 from qbench.cliffords import equal_up_to_phase
@@ -20,7 +20,6 @@ from qbench.system import (
     compile_qv_circuit,
     gen_qv_spec,
     haar_su4,
-    heavy_output_mass,
     heavy_set,
     ideal_qv_probs,
     run_clops,
@@ -224,7 +223,12 @@ class TestCLOPS:
         slow_dev = dataclasses.replace(base_dev, timing=base_dev.timing.scaled(2.0))
         fast = run_clops(LocalSimBackend(base_dev), cfg, measured_qv=4, seed=3)
         slow = run_clops(LocalSimBackend(slow_dev), cfg, measured_qv=4, seed=3)
-        assert slow.clops / fast.clops == pytest.approx(0.5, rel=0.10)
+        # the modeled quantum window doubles; the classical window is wall
+        # time, so the throughput ratio itself depends on machine load
+        assert slow.t_quantum_s == pytest.approx(2 * fast.t_quantum_s, rel=1e-12)
+        for res in (fast, slow):
+            assert res.clops == clops_value(res.m, res.k, res.s, res.d,
+                                            res.t_quantum_s + res.t_classical_s)
 
     def test_angle_expansion_deterministic_and_in_range(self):
         a = angles_from_seed(123456789, 4, 40)
@@ -266,7 +270,7 @@ class TestStability:
         dev = starmon5_reference_model(drift=sched)
         be = LocalSimBackend(dev)
         be.advance_clock(3600.0)
-        assert be.effective_device().qubits[0].t2_us == pytest.approx(13.29 * 0.7)
+        assert effective_device(be).qubits[0].t2_us == pytest.approx(13.29 * 0.7)
 
     def test_unidentifiable_points_excluded_and_counted(self):
         # pure-noise outcomes make the dephasing fit flag nearly every point
