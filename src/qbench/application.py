@@ -383,13 +383,22 @@ def run_qscore(backend: Backend, cfg: QScoreConfig | None = None, seed: int = 0)
     beta(N) = (C - R) / (O - R) with C the mean best sampled-average cut,
     R the random-cut expectation |E|/2, and O the exact optimum, averaged
     over the size's graphs.  A size passes when beta exceeds the threshold
-    and its whole batch fits the time limit.
+    and its whole batch fits the time limit.  A size wider than the backend
+    is not run: it fails with the flag ``exceeds_backend``, so the score
+    comes from the sizes that fit.
     """
     cfg = cfg or QScoreConfig()
     if list(cfg.sizes) != sorted(cfg.sizes):
         raise ValueError("sizes must be ascending")
     per_size = []
     for n in cfg.sizes:
+        if n > backend.n_qubits:
+            nan = float("nan")
+            per_size.append(QScoreSizeResult(
+                size=n, beta=nan, mean_best_cut=nan, mean_random_cut=nan, mean_optimal_cut=nan,
+                elapsed_s=0.0, passed=False, flags=("exceeds_backend",),
+            ))
+            continue
         t_start = time.perf_counter()
         budget_each = cfg.time_limit_s / cfg.graphs_per_size
         cuts, randoms, optima = [], [], []

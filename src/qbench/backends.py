@@ -1,4 +1,4 @@
-"""Backend abstraction: local simulator, stub backends, and batch helpers.
+"""Backend abstraction: local simulator and batch helpers.
 
 A backend has one execution call, :meth:`Backend.run`: it takes a batch of
 circuits, a shot count and a seed, and returns one ShotTable per circuit,
@@ -24,7 +24,7 @@ import numpy as np
 
 from .circuits import Circuit, TimingModel
 from .device import DeviceModel
-from .simulator import ShotTable, index_to_bitstring, run_noisy
+from .simulator import ShotTable, run_noisy
 
 
 class BackendError(Exception):
@@ -169,39 +169,6 @@ class LocalSimBackend(Backend):
                       np.random.default_rng(np.random.SeedSequence([int(seed), i])))
             for i, c in enumerate(circuits)
         ]
-
-
-class UniformRandomBackend(Backend):
-    """Returns uniformly random bitstrings; a floor for every metric."""
-
-    def __init__(self, n_qubits: int) -> None:
-        self._n = n_qubits
-
-    @property
-    def n_qubits(self) -> int:
-        return self._n
-
-    @property
-    def connectivity(self) -> frozenset[tuple[int, int]] | None:
-        return None
-
-    def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
-        tables = []
-        for i, c in enumerate(circuits):
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), i, 0xF00D]))
-            outcomes = rng.integers(0, 2**c.n_qubits, size=shots)
-            values, counts = np.unique(outcomes, return_counts=True)
-            tables.append(
-                ShotTable(
-                    counts={
-                        index_to_bitstring(int(v), c.n_qubits): int(k)
-                        for v, k in zip(values, counts)
-                    },
-                    shots=shots,
-                    n_qubits=c.n_qubits,
-                )
-            )
-        return tables
 
 
 def submit_and_wait(

@@ -276,6 +276,10 @@ def cmd_qscore(args, backend, store) -> int:
     res = run_qscore(backend, cfg, seed=args.seed)
     rep.scalars["qscore"] = scalar(res.qscore, "graph_size")
     for r in res.per_size:
+        if "exceeds_backend" in r.flags:
+            rep.flags.append(f"n{r.size}_skipped")
+            print(f"size {r.size}: skipped, wider than the backend")
+            continue
         rep.scalars[f"beta_n{r.size}"] = scalar(r.beta, "fraction")
         rep.timing[f"elapsed_n{r.size}_s"] = r.elapsed_s
         print(f"size {r.size}: beta = {r.beta:.3f} "

@@ -4,6 +4,12 @@ Models: geometric decay A*alpha^N + B (randomized benchmarking), exponential
 decay A + B*exp(-t/T) (relaxation and echo), and the damped sinusoid
 A + B*exp(-t/T)*sin(w*t + phi) (free induction with an artificial detuning).
 
+Every model is linear in its amplitudes once its rate (and, for the
+sinusoid, its frequency) is fixed, so each fit is seeded by variable
+projection: the amplitudes are solved exactly at every point of a log grid
+over the nonlinear parameters, and the best point starts the solver.  The
+grid search is unweighted; shot-noise weights enter in the polish.
+
 The solver is a damped least-squares (Levenberg-Marquardt) loop with
 analytic Jacobians, box bounds enforced by projection, and standard errors
 from the residual-scaled inverse normal matrix.  Fits never raise on bad
@@ -22,6 +28,12 @@ import numpy as np
 MAX_ITERATIONS = 200
 STEP_TOL = 1e-8
 GRAD_TOL = 1e-10
+
+# seeding grid sizes (points per nonlinear parameter)
+_GEOM_GRID = 200
+_EXP_GRID = 200
+_SIN_OMEGA_GRID, _SIN_T_GRID = 120, 24
+_ZOOMS = 3  # refinements of the decay-rate grids
 
 
 @dataclass(frozen=True)
@@ -147,14 +159,54 @@ def _standard_errors(
         return np.full(k, np.inf)
 
 
-def _loglinear_rate(x: np.ndarray, y: np.ndarray, floor: float) -> float:
-    """Slope of ln|y - floor| against x, for decay initializers."""
-    z = np.abs(y - floor)
-    mask = z > max(1e-6, 0.02 * z.max())
-    if mask.sum() < 2:
-        return 0.0
-    coeffs = np.polyfit(x[mask], np.log(z[mask]), 1)
-    return float(coeffs[0])
+def _projected_grid(basis, grid: np.ndarray, y: np.ndarray, zooms: int = _ZOOMS):
+    """Variable projection over a log grid of one nonlinear parameter.
+
+    ``basis(values)`` stacks one (len(y), k) matrix per grid value: the
+    columns of a model that is linear in its k amplitudes once that
+    parameter is fixed.  Every point's least-squares residual comes from one
+    modified Gram-Schmidt pass vectorized over the grid; a column left with
+    less than 1e-10 of its norm is dependent and is dropped.  The grid then
+    zooms ``zooms`` times onto the cell around its best point: where the
+    residual is flat in the parameter (a decay much slower than the scan),
+    the LM's absolute gradient test can accept a start still percents off
+    the optimum, so the start must already be close.  Returns the best
+    value, its amplitudes and its residual sum of squares.
+    """
+    def dot(a, b):  # row-wise, one value per grid point
+        return np.einsum("gn,gn->g", a, b)
+
+    for level in range(1 + zooms):
+        if level:
+            grid = np.geomspace(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], len(grid))
+        bases = basis(grid)
+        cols = list(np.moveaxis(bases, 2, 0).copy())
+        r = np.repeat(y[None, :], len(grid), axis=0)
+        for j, q in enumerate(cols):
+            sq = dot(q, q)
+            keep = sq > 1e-20 * dot(bases[:, :, j], bases[:, :, j])
+            q *= np.where(keep, 1.0 / np.sqrt(np.where(keep, sq, 1.0)), 0.0)[:, None]
+            for v in (r, *cols[j + 1:]):
+                v -= dot(q, v)[:, None] * q
+        i = int(np.argmin(dot(r, r)))
+    coef = np.linalg.lstsq(bases[i], y, rcond=None)[0]
+    return float(grid[i]), coef, float(np.sum((bases[i] @ coef - y) ** 2))
+
+
+def _result(names, p, se, rss, converged, iterations, unidentifiable: bool) -> FitResult:
+    """Package a fit; an unidentifiable fit is flagged and never converged."""
+    return FitResult(
+        dict(zip(names, map(float, p))),
+        dict(zip(names, map(float, se))),
+        float(rss),
+        bool(converged) and not unidentifiable,
+        iterations,
+        ("unidentifiable",) if unidentifiable else (),
+    )
+
+
+def _flat_result(names: tuple[str, ...], params: tuple[float, ...]) -> FitResult:
+    return _result(names, params, np.full(len(names), np.inf), 0.0, False, 0, True)
 
 
 # --- geometric decay ---------------------------------------------------------
@@ -178,29 +230,19 @@ def fit_geometric(d: DataSeries, weighted: bool = False) -> FitResult:
     """Fit A*alpha^N + B with alpha constrained to (0, 1]."""
     x, y = d.x, d.y
     if np.ptp(y) < 1e-9:
-        return _flat_result(_GEOM_NAMES, {"A": 0.0, "alpha": 1.0, "B": float(y.mean())})
-    b0 = float(y[-1])
-    a0 = float(y[0] - y[-1])
-    rate = _loglinear_rate(x, y, b0)
-    alpha0 = float(np.clip(np.exp(rate), 1e-4, 0.999999))
-    p0 = np.array([a0 if abs(a0) > 1e-6 else 0.1, alpha0, b0])
+        return _flat_result(_GEOM_NAMES, (0.0, 1.0, y.mean()))
+
+    def basis(gaps):  # gap = 1 - alpha
+        return np.stack([(1.0 - gaps[:, None]) ** x, np.ones((len(gaps), len(x)))], axis=2)
+
+    gap, (a0, b0), _ = _projected_grid(basis, np.geomspace(1e-3 / x[-1], 1.0 - 1e-4, _GEOM_GRID), y)
     lo = np.array([-5.0, 1e-9, -5.0])
     hi = np.array([5.0, 1.0, 5.0])
     p, se, rss, conv, it = _levenberg_marquardt(
-        _geom_f, _geom_jac, x, y, p0, lo, hi, d.weights(weighted)
+        _geom_f, _geom_jac, x, y, np.array([a0, 1.0 - gap, b0]), lo, hi, d.weights(weighted)
     )
-    flags = []
-    if abs(p[0]) < 3 * se[0] or p[1] >= 1.0 - 1e-12:
-        flags.append("unidentifiable")
-        conv = False
-    return FitResult(
-        dict(zip(_GEOM_NAMES, map(float, p))),
-        dict(zip(_GEOM_NAMES, map(float, se))),
-        float(rss),
-        conv,
-        it,
-        tuple(flags),
-    )
+    return _result(_GEOM_NAMES, p, se, rss, conv, it,
+                   abs(p[0]) < 3 * se[0] or p[1] >= 1.0 - 1e-12)
 
 
 # --- exponential decay ---------------------------------------------------------
@@ -223,30 +265,21 @@ def fit_exp_decay(d: DataSeries, weighted: bool = False) -> FitResult:
     """Fit A + B*exp(-t/T) with T > 0."""
     x, y = d.x, d.y
     if np.ptp(y) < 1e-9:
-        return _flat_result(_EXP_NAMES, {"A": float(y.mean()), "B": 0.0, "T": np.inf})
-    a0 = float(y[-1])
-    b0 = float(y[0] - y[-1])
-    rate = _loglinear_rate(x, y, a0)
+        return _flat_result(_EXP_NAMES, (y.mean(), 0.0, np.inf))
     span = float(x[-1] - x[0])
-    t0 = float(np.clip(-1.0 / rate if rate < -1e-12 else span / 2, 1e-6, 50 * span))
-    p0 = np.array([a0, b0 if abs(b0) > 1e-6 else 0.1, t0])
+
+    def basis(ts):
+        decay = np.exp(-x / ts[:, None])
+        return np.stack([np.ones_like(decay), decay], axis=2)
+
+    t0, (a0, b0), _ = _projected_grid(basis, np.geomspace(span / 1e3, 50 * span, _EXP_GRID), y)
     lo = np.array([-5.0, -5.0, 1e-9])
     hi = np.array([5.0, 5.0, 100 * span])
     p, se, rss, conv, it = _levenberg_marquardt(
-        _exp_f, _exp_jac, x, y, p0, lo, hi, d.weights(weighted)
+        _exp_f, _exp_jac, x, y, np.array([a0, b0, t0]), lo, hi, d.weights(weighted)
     )
-    flags = []
-    if abs(p[1]) < 3 * se[1] or p[2] >= 0.9 * 100 * span:
-        flags.append("unidentifiable")
-        conv = False
-    return FitResult(
-        dict(zip(_EXP_NAMES, map(float, p))),
-        dict(zip(_EXP_NAMES, map(float, se))),
-        float(rss),
-        conv,
-        it,
-        tuple(flags),
-    )
+    return _result(_EXP_NAMES, p, se, rss, conv, it,
+                   abs(p[1]) < 3 * se[1] or p[2] >= 0.9 * 100 * span)
 
 
 # --- damped sinusoid -----------------------------------------------------------
@@ -276,76 +309,42 @@ def _sin_jac(x, p):
     )
 
 
-def _sin_grid_seed(x: np.ndarray, y: np.ndarray, omega_guess: float) -> tuple[np.ndarray, float, float]:
-    """Coarse frequency scan: linear fit of {1, e sin, e cos} per candidate omega."""
-    span = float(x[-1] - x[0])
-    t0 = span / 2
-    e = np.exp(-x / t0)
-    best = None
-    for w in np.geomspace(0.25 * omega_guess, 4.0 * omega_guess, 120):
-        basis = np.stack([np.ones_like(x), e * np.sin(w * x), e * np.cos(w * x)], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-        rss = float(np.sum((basis @ coef - y) ** 2))
-        if best is None or rss < best[0]:
-            best = (rss, w, coef)
-    rss, w, (a0, cs, cc) = best
-    b0 = float(np.hypot(cs, cc))
-    phi0 = float(np.arctan2(cc, cs))
-    return np.array([a0, b0, t0, w, phi0]), rss, float(np.sum((y - y.mean()) ** 2))
-
-
 def fit_damped_sinusoid(
     d: DataSeries, omega_guess: float, weighted: bool = False
 ) -> FitResult:
     """Fit A + B*exp(-t/T)*sin(omega*t + phi).
 
-    ``omega_guess`` seeds a coarse grid scan over [0.25, 4] times the guess;
+    ``omega_guess`` centres the seeding grid over [0.25, 4] times the guess;
     the series must hold at least 8 points spanning 1.5 periods of the guess.
     """
     x, y = d.x, d.y
     if len(x) < 8:
         raise ValueError("damped-sinusoid fits need at least 8 points")
-    if omega_guess <= 0 or (x[-1] - x[0]) < 1.5 * (2 * np.pi / omega_guess):
+    span = float(x[-1] - x[0])
+    if omega_guess <= 0 or span < 1.5 * (2 * np.pi / omega_guess):
         raise ValueError("series must span at least 1.5 periods of the seeded frequency")
     if np.ptp(y) < 1e-9:
-        return _flat_result(
-            _SIN_NAMES,
-            {"A": float(y.mean()), "B": 0.0, "T": np.inf, "omega": omega_guess, "phi": 0.0},
-        )
+        return _flat_result(_SIN_NAMES, (y.mean(), 0.0, np.inf, omega_guess, 0.0))
 
-    p0, grid_rss, flat_rss = _sin_grid_seed(x, y, omega_guess)
-    span = float(x[-1] - x[0])
+    def basis(w, t):  # one of w and t is a grid, the other a scalar
+        w, t = np.broadcast_arrays(w, t)
+        phase, decay = w[:, None] * x, np.exp(-x / t[:, None])
+        return np.stack([np.ones_like(phase), decay * np.sin(phase), decay * np.cos(phase)], axis=2)
+
+    # omega first under a fixed envelope, then T at that omega: the residual
+    # is sharply curved in omega and flat in T, so only the T line zooms
+    ws = np.geomspace(0.25, 4.0, _SIN_OMEGA_GRID) * omega_guess
+    w, _, _ = _projected_grid(lambda ws: basis(ws, span / 2), ws, y, zooms=0)
+    ts = np.geomspace(span / 20, 50 * span, _SIN_T_GRID)
+    t, (a0, cs, cc), grid_rss = _projected_grid(lambda ts: basis(w, ts), ts, y)
+    flat_rss = float(np.sum((y - y.mean()) ** 2))
+    p0 = np.array([a0, np.hypot(cs, cc), t, w, np.arctan2(cc, cs)])
     lo = np.array([-5.0, -5.0, 1e-9, 0.05 * omega_guess, -2 * np.pi])
     hi = np.array([5.0, 5.0, 100 * span, 8.0 * omega_guess, 2 * np.pi])
-    p0 = np.clip(p0, lo, hi)
     p, se, rss, conv, it = _levenberg_marquardt(
         _sin_f, _sin_jac, x, y, p0, lo, hi, d.weights(weighted)
     )
-    flags = []
-    # no dominant oscillation: the scan barely beats a constant, or the
+    # no dominant oscillation: the grid barely beats a constant, or the
     # amplitude is statistically indistinguishable from zero
-    if flat_rss > 0 and (grid_rss / flat_rss) > 0.6 and (rss / flat_rss) > 0.5:
-        flags.append("unidentifiable")
-        conv = False
-    elif abs(p[1]) < 3 * se[1]:
-        flags.append("unidentifiable")
-        conv = False
-    return FitResult(
-        dict(zip(_SIN_NAMES, map(float, p))),
-        dict(zip(_SIN_NAMES, map(float, se))),
-        float(rss),
-        conv,
-        it,
-        tuple(flags),
-    )
-
-
-def _flat_result(names: tuple[str, ...], params: dict[str, float]) -> FitResult:
-    return FitResult(
-        params,
-        {k: float("inf") for k in names},
-        0.0,
-        False,
-        0,
-        ("unidentifiable",),
-    )
+    no_oscillation = flat_rss > 0 and (grid_rss / flat_rss) > 0.6 and (rss / flat_rss) > 0.5
+    return _result(_SIN_NAMES, p, se, rss, conv, it, no_oscillation or abs(p[1]) < 3 * se[1])

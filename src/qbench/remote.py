@@ -237,7 +237,12 @@ class MockServer:
 
     def _execute(self, job_id: str, key: str, circuits: list[Circuit], shots: int,
                  seed: int) -> None:
-        tables = self.backend.run(circuits, shots, seed)
+        try:
+            tables = self.backend.run(circuits, shots, seed)
+        except Exception as err:  # any backend fault fails the job, not the server
+            self._finish(job_id, key, {"status": "failed", "error": f"{type(err).__name__}: {err}",
+                                         "results": []})
+            return
         self._finish(job_id, key, {
             "status": "done",
             "results": [{"counts": dict(t.counts)} for t in tables],

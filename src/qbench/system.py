@@ -305,6 +305,8 @@ def run_clops(
     if measured_qv < 2:
         raise ValueError("throughput needs a measured quantum volume of at least 2")
     d = cfg.d_layers or int(np.log2(measured_qv))
+    if d > backend.n_qubits:
+        raise ValueError(f"{d}-qubit templates do not fit a {backend.n_qubits}-qubit backend")
     order = backend.preferred_qubit_order()
     templates = make_clops_templates(
         d, cfg.m_templates, seed, backend.n_qubits, order, backend.connectivity

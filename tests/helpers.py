@@ -1,7 +1,7 @@
 """Reference helpers that only the tests use: dense unitaries, group-law
 shortcuts, distribution helpers, shot-table documents, the fit-model
-table, canonical scalars, the local backend's drifted device and a
-random-circuit strategy."""
+table, canonical scalars, the local backend's drifted device, a
+uniform-random backend and a random-circuit strategy."""
 import json
 import math
 
@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qbench import cliffords
-from qbench.backends import LocalSimBackend
+from qbench.backends import Backend, LocalSimBackend
 from qbench.circuits import Circuit, Gate, cz, measure_all, rz, wait
 from qbench.device import DeviceModel
 from qbench.fitting import (
@@ -71,6 +71,39 @@ def scalar_section_json(record: MetricReport) -> str:
 def effective_device(backend: LocalSimBackend) -> DeviceModel:
     """The device the local backend runs at its current clock, drift applied."""
     return backend._effective
+
+
+class UniformRandomBackend(Backend):
+    """Returns uniformly random bitstrings; a floor for every metric."""
+
+    def __init__(self, n_qubits: int) -> None:
+        self._n = n_qubits
+
+    @property
+    def n_qubits(self) -> int:
+        return self._n
+
+    @property
+    def connectivity(self) -> frozenset[tuple[int, int]] | None:
+        return None
+
+    def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
+        tables = []
+        for i, c in enumerate(circuits):
+            rng = np.random.default_rng(np.random.SeedSequence([int(seed), i, 0xF00D]))
+            outcomes = rng.integers(0, 2**c.n_qubits, size=shots)
+            values, counts = np.unique(outcomes, return_counts=True)
+            tables.append(
+                ShotTable(
+                    counts={
+                        index_to_bitstring(int(v), c.n_qubits): int(k)
+                        for v, k in zip(values, counts)
+                    },
+                    shots=shots,
+                    n_qubits=c.n_qubits,
+                )
+            )
+        return tables
 
 
 def ideal_unitary(circuit: Circuit) -> np.ndarray:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from helpers import heavy_output_mass, scalar_section_json
+from helpers import UniformRandomBackend, heavy_output_mass, scalar_section_json
 from qbench.application import (
     QAOAConfig,
     QScoreConfig,
@@ -18,7 +18,7 @@ from qbench.application import (
     qaoa_maxcut,
     run_qscore,
 )
-from qbench.backends import LocalSimBackend, UniformRandomBackend, submit_and_wait
+from qbench.backends import LocalSimBackend, submit_and_wait
 from qbench.circuits import Circuit, measure_all, x
 from qbench.cli import EXIT_OK, cli_main
 from qbench.component import (

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import ideal_unitary
-from qbench.backends import LocalSimBackend, UniformRandomBackend
+from helpers import UniformRandomBackend, ideal_unitary
+from qbench.backends import LocalSimBackend
 from qbench.circuits import Circuit, Gate, measure_all, normalize_angle, rz, x90
 from qbench.cliffords import equal_up_to_phase
 from qbench.compile import h_matrix, routed_block, rx_angles, rx_matrix, rzz_ops, su2_ops
@@ -216,6 +216,13 @@ class TestQScore:
         tight = run_qscore(ideal_backend_5, QScoreConfig(time_limit_s=1e-9), seed=1)
         generous = run_qscore(ideal_backend_5, QScoreConfig(time_limit_s=600.0), seed=1)
         assert tight.qscore <= generous.qscore
+
+    def test_sizes_wider_than_backend_are_skipped(self):
+        cfg = QScoreConfig(graphs_per_size=2, max_evaluations=20, shots=256, time_limit_s=600.0)
+        res = run_qscore(LocalSimBackend(ideal_device(3)), cfg, seed=1)
+        assert (res.qscore, res.flag) == (3, None)
+        assert [r.passed for r in res.per_size] == [True, True, False, False]
+        assert [r.flags for r in res.per_size[2:]] == [("exceeds_backend",)] * 2
 
     def test_sizes_must_ascend(self, ideal_backend_5):
         with pytest.raises(ValueError):

@@ -1,11 +1,7 @@
 import pytest
 
-from qbench.backends import (
-    CapabilityError,
-    LocalSimBackend,
-    UniformRandomBackend,
-    submit_and_wait,
-)
+from helpers import UniformRandomBackend
+from qbench.backends import CapabilityError, LocalSimBackend, submit_and_wait
 from qbench.circuits import Circuit, cz, measure_all, x, x90
 from qbench.device import starmon5_reference_model
 from qbench.remote import MockServer, RemoteBackend

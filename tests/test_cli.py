@@ -6,7 +6,7 @@ import pytest
 from helpers import scalar_section_json
 from qbench.backends import LocalSimBackend
 from qbench.cli import EXIT_METRIC_INVALID, EXIT_OK, EXIT_USAGE, cli_main
-from qbench.device import starmon5_reference_model
+from qbench.device import ideal_device, save_device, starmon5_reference_model
 from qbench.remote import MockServer
 from qbench.reporting import RunStore
 
@@ -53,6 +53,26 @@ class TestExitCodes:
         assert code == EXIT_METRIC_INVALID
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "unconnected" in err[0]
+
+    def test_clops_wider_than_device_is_classified(self, tmp_path, capsys):
+        path = tmp_path / "one_qubit.json"
+        save_device(ideal_device(1), str(path))
+        code = cli_main(["clops", "--device", str(path), "--templates", "2", "--updates", "1",
+                         "--out", str(tmp_path)])
+        assert code == EXIT_METRIC_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_qscore_scores_the_sizes_that_fit(self, tmp_path):
+        path = tmp_path / "three_qubits.json"
+        save_device(ideal_device(3), str(path))
+        code = cli_main(["qscore", "--device", str(path), "--shots", "256", "--seed", "1",
+                         "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        rec = [r for r in RunStore(str(tmp_path)).records() if r.metric == "qscore"][-1]
+        assert rec.flags == ["n4_skipped", "n5_skipped"]
+        assert sorted(rec.scalars) == ["beta_n2", "beta_n3", "qscore"]
+        assert rec.scalars["qscore"]["value"] == 3
 
 
 class TestDeterminism:

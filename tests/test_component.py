@@ -8,6 +8,7 @@ from qbench.backends import LocalSimBackend
 from qbench.circuits import TimingModel
 from qbench.cliffords import AVG_PULSES_PER_CLIFFORD
 from qbench.component import (
+    T2HAHN_MAX_WAIT_US,
     CoherenceConfig,
     RBConfig,
     epc_from_alpha,
@@ -178,6 +179,15 @@ class TestCoherence:
     def test_t2hahn_zero_wait_is_readout_error(self, starmon_backend):
         res = t2hahn_experiment(starmon_backend, 3, CoherenceConfig(max_wait_us=120.0, seed=3))
         assert res.fractions[0] == pytest.approx(1 - 0.984, abs=0.02)
+
+    @pytest.mark.parametrize("seed", [21, 26, 34, 8002])
+    def test_t2hahn_smooth_scans_fit(self, starmon_backend, seed):
+        # smooth scans that a log-linear start sends to the T lower bound, a
+        # flat spot of the residual; the device's T2 is 13.29 us
+        cfg = CoherenceConfig(max_wait_us=T2HAHN_MAX_WAIT_US, shots=4096, seed=seed)
+        res = t2hahn_experiment(starmon_backend, 0, cfg)
+        assert res.valid
+        assert res.time_us == pytest.approx(13.29, rel=0.15)
 
     def test_t2hahn_noiseless_flagged(self, ideal_backend_5):
         res = t2hahn_experiment(ideal_backend_5, 0, CoherenceConfig(max_wait_us=120.0, shots=512, seed=3))

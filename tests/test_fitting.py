@@ -1,6 +1,8 @@
 """Fit-model checks: exact recovery, flags, Jacobians, scaling invariance."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import MODEL_FUNCTIONS
 from qbench.fitting import (
@@ -12,6 +14,7 @@ from qbench.fitting import (
 
 RB_LENGTHS = np.array([1.0, 20, 40, 80, 120])
 WAITS = np.linspace(0.0, 24.0, 32)
+ECHO_WAITS = np.linspace(0.0, 120.0, 32)
 OMEGA = 2 * np.pi * 0.125
 
 
@@ -57,6 +60,51 @@ class TestExactRecovery:
         y = 0.5 + 0.45 * np.exp(-WAITS / 21.4) * np.sin(OMEGA * WAITS + 1.2)
         fit = fit_damped_sinusoid(DataSeries(WAITS, y), omega_guess=OMEGA * factor)
         assert fit.params["omega"] == pytest.approx(OMEGA, rel=1e-4)
+
+
+class TestNoiseFreeRecovery:
+    """Every noise-free curve in the protocol ranges is recovered."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        u=st.floats(np.log(1e-4), np.log(0.05)),
+        a=st.floats(0.2, 0.6),
+        b=st.floats(0.0, 0.3),
+    )
+    def test_geometric(self, u, a, b):
+        alpha = 1.0 - np.exp(u)
+        fit = fit_geometric(DataSeries(RB_LENGTHS, a * alpha**RB_LENGTHS + b))
+        assert fit.converged
+        assert fit.params["alpha"] == pytest.approx(alpha, rel=1e-5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        t=st.floats(2.0, 300.0),
+        a=st.floats(0.0, 0.1),
+        b=st.floats(0.2, 0.9),
+        rising=st.booleans(),
+    )
+    def test_exp_decay(self, t, a, b, rising):
+        y = a + b * np.exp(-ECHO_WAITS / t)
+        fit = fit_exp_decay(DataSeries(ECHO_WAITS, 1.0 - y if rising else y))
+        assert fit.converged
+        assert fit.params["T"] == pytest.approx(t, rel=1e-5)
+        assert fit.params["B"] == pytest.approx(-b if rising else b, rel=1e-5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        t=st.floats(5.0, 100.0),
+        factor=st.floats(0.7, 1.4),
+        b=st.floats(0.2, 0.45),
+        phi=st.floats(-np.pi, np.pi),
+    )
+    def test_damped_sinusoid(self, t, factor, b, phi):
+        w = OMEGA * factor
+        y = 0.5 + b * np.exp(-WAITS / t) * np.sin(w * WAITS + phi)
+        fit = fit_damped_sinusoid(DataSeries(WAITS, y), omega_guess=OMEGA)
+        assert fit.converged
+        assert fit.params["T"] == pytest.approx(t, rel=1e-4)
+        assert fit.params["omega"] == pytest.approx(w, rel=1e-5)
 
 
 class TestDegenerateInputs:

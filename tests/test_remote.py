@@ -141,6 +141,33 @@ class CannedBackend(Backend):
         return self.tables
 
 
+class RaisingBackend(CannedBackend):
+    """Fails every batch inside ``run``."""
+
+    def run(self, circuits, shots, seed) -> list[ShotTable]:
+        raise RuntimeError("device lost")
+
+
+class TestFailedJob:
+    def test_backend_exception_fails_the_job(self):
+        with MockServer(RaisingBackend([])) as srv:
+            backend = RemoteBackend(srv.url, n_qubits=3)
+            with pytest.raises(BackendError, match="RuntimeError: device lost") as err:
+                backend.run([_circuit()], 10, seed=1)
+            assert not isinstance(err.value, JobNotFoundError)
+            assert len(srv._jobs) == len(srv._by_key) == len(srv._finished) == 1
+
+    def test_failed_jobs_are_bounded(self, monkeypatch):
+        cap = 3
+        monkeypatch.setattr(qbench.remote, "_FINISHED_JOBS_KEPT", cap)
+        with MockServer(RaisingBackend([])) as srv:
+            backend = RemoteBackend(srv.url, n_qubits=3)
+            for seed in range(2 * cap):
+                with pytest.raises(BackendError, match="failed"):
+                    backend.run([_circuit()], 10, seed=seed)
+            assert len(srv._jobs) == len(srv._by_key) == cap
+
+
 class TestReplyValidation:
     @pytest.mark.parametrize(
         "tables, message",

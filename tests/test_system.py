@@ -4,8 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import effective_device, heavy_output_mass, ideal_unitary
-from qbench.backends import Backend, BackendError, LocalSimBackend, UniformRandomBackend
+from helpers import UniformRandomBackend, effective_device, heavy_output_mass, ideal_unitary
+from qbench.backends import Backend, BackendError, LocalSimBackend
 from qbench.circuits import Circuit
 from qbench.cliffords import equal_up_to_phase
 from qbench.component import CoherenceConfig
