@@ -199,7 +199,10 @@ def cmd_calibrate(args, backend, store) -> int:
                 rep.flags.append(f"q{q}_{tag}_invalid")
                 invalid = True
     rep.scalars["q_factor"] = scalar(summary.q_factor, "gates_per_t2star")
-    rep.scalars["crosstalk_max_row_l1"] = scalar(summary.crosstalk.max_row_l1, "l1_distance")
+    if summary.crosstalk is None:
+        rep.flags.append("crosstalk_skipped")
+    else:
+        rep.scalars["crosstalk_max_row_l1"] = scalar(summary.crosstalk.max_row_l1, "l1_distance")
     store.append(rep)
     for q in range(backend.n_qubits):
         print(

@@ -13,9 +13,11 @@ realized as the echo pair X.X and one of the eight axis-cycling rotations
 uses its one-pulse virtual-Z form; all other entries follow the standard
 XY decomposition.
 
-Composition and inverse tables are built at import time by brute-force
-2x2 multiplication with equality taken up to global phase, and the module
-refuses to load if the 24 sequences fail to close under the group laws.
+Composition and inverse tables are built at import time by lookup: each
+2x2 matrix gets a key that is the same for every global phase (see
+``_phase_keys``), all 576 products and 24 inverses are keyed at once, and
+each key maps back to its element through a dict.  The module refuses to
+load if two sequences share a key or a product's key is not among the 24.
 """
 from __future__ import annotations
 
@@ -152,36 +154,44 @@ class CliffordElement:
         return sum(1 for g in self.to_ops(0) if g.kind != "RZ")
 
 
+def _phase_keys(mats: np.ndarray) -> list[bytes]:
+    """One key per 2x2 matrix of a stack, equal for matrices equal up to phase.
+
+    Each matrix is divided by the phase of its first entry of modulus above
+    1/2 (Clifford entries have modulus 0, 1/sqrt2 or 1), rounded to 9
+    decimals, and has its negative zeros cleared.
+    """
+    flat = mats.reshape(len(mats), -1)
+    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 0.5, axis=1)]
+    normed = np.round(flat * (np.abs(lead) / lead)[:, None], 9) + 0.0
+    return [row.tobytes() for row in normed]
+
+
 def _build_tables() -> tuple[
-    tuple[np.ndarray, ...], np.ndarray, np.ndarray
+    tuple[np.ndarray, ...], np.ndarray, np.ndarray, int
 ]:
-    mats = tuple(_sequence_matrix(p) for p in _CLIFFORD_PULSES)
+    mats = np.array([_sequence_matrix(p) for p in _CLIFFORD_PULSES])
+    index: dict[bytes, int] = {}
+    for k, key in enumerate(_phase_keys(mats)):
+        first = index.setdefault(key, k)
+        if first != k:
+            raise RuntimeError(f"Clifford table entries {first} and {k} coincide")
 
-    def find(u: np.ndarray) -> int:
-        for k, m in enumerate(mats):
-            if equal_up_to_phase(u, m):
-                return k
-        raise RuntimeError("Clifford table is not closed under composition")
-
-    for i in range(N_CLIFFORDS):
-        for j in range(i + 1, N_CLIFFORDS):
-            if equal_up_to_phase(mats[i], mats[j]):
-                raise RuntimeError(f"Clifford table entries {i} and {j} coincide")
-
-    compose = np.empty((N_CLIFFORDS, N_CLIFFORDS), dtype=np.int64)
-    for a in range(N_CLIFFORDS):
-        for b in range(N_CLIFFORDS):
-            # circuit order: apply a first, then b
-            compose[a, b] = find(mats[b] @ mats[a])
-    inverse = np.array([find(m.conj().T) for m in mats], dtype=np.int64)
-    return mats, compose, inverse
+    # circuit order: products[a, b] applies a first, then b
+    products = np.einsum("bij,ajk->abik", mats, mats).reshape(-1, 2, 2)
+    try:
+        compose = np.array([index[k] for k in _phase_keys(products)], dtype=np.int64)
+        inverse = np.array(
+            [index[k] for k in _phase_keys(mats.conj().transpose(0, 2, 1))], dtype=np.int64
+        )
+        identity = index[_phase_keys(np.eye(2, dtype=complex)[None])[0]]
+    except KeyError:
+        raise RuntimeError("Clifford table is not closed under composition") from None
+    return tuple(mats), compose.reshape(N_CLIFFORDS, N_CLIFFORDS), inverse, identity
 
 
-MATRICES, COMPOSE_TABLE, INVERSE_TABLE = _build_tables()
+MATRICES, COMPOSE_TABLE, INVERSE_TABLE, IDENTITY_INDEX = _build_tables()
 ELEMENTS = tuple(CliffordElement(i, p) for i, p in enumerate(_CLIFFORD_PULSES))
-IDENTITY_INDEX = int(
-    next(i for i, m in enumerate(MATRICES) if equal_up_to_phase(m, np.eye(2)))
-)
 
 
 def compose_indices(indices: list[int] | tuple[int, ...]) -> int:

@@ -131,6 +131,10 @@ def run_rb(backend: Backend, cfg: RBConfig, qubit: int) -> RBResult:
 
 # --- readout and crosstalk ----------------------------------------------------
 
+# crosstalk prepares all 2^n joint basis states, so it stops at this width
+_CROSSTALK_MAX_QUBITS = 6
+
+
 @dataclass(frozen=True)
 class ReadoutAssignment:
     """Per-qubit confusion matrices, and optionally the joint matrix."""
@@ -190,8 +194,10 @@ def measure_crosstalk(backend: Backend, shots: int = 16384, seed: int = 0) -> Cr
     the worst row's L1 distance from that prediction.
     """
     n = backend.n_qubits
-    if n > 6:
-        raise ValueError("crosstalk measurement is capped at 6 qubits (2^n preparations)")
+    if n > _CROSSTALK_MAX_QUBITS:
+        raise ValueError(
+            f"crosstalk measurement is capped at {_CROSSTALK_MAX_QUBITS} qubits (2^n preparations)"
+        )
     dim = 2**n
     circuits = [_basis_prep_circuit(n, b) for b in range(dim)]
     tables = submit_and_wait(backend, circuits, shots, seed)
@@ -339,7 +345,7 @@ def q_factor(t2stars_us: list[float], gate_ns: float) -> float:
 class CalibrationSummary:
     rb: list[RBResult]
     readout: ReadoutAssignment
-    crosstalk: CrosstalkResult
+    crosstalk: CrosstalkResult | None  # None when skipped
     t1: list[CoherenceResult]
     t2star: list[CoherenceResult]
     t2hahn: list[CoherenceResult]
@@ -353,7 +359,11 @@ def run_calibration(
     shots: int = 4096,
     include_crosstalk: bool = True,
 ) -> CalibrationSummary:
-    """Every component metric for every qubit, at the standard settings."""
+    """Every component metric for every qubit, at the standard settings.
+
+    Crosstalk is skipped (``crosstalk`` is None) when ``include_crosstalk``
+    is off or the backend is wider than the crosstalk cap.
+    """
     n = backend.n_qubits
     rb_results = []
     t1s, t2stars, t2hahns = [], [], []
@@ -371,7 +381,7 @@ def run_calibration(
             t2hahn_experiment(backend, q, CoherenceConfig(max_wait_us=T2HAHN_MAX_WAIT_US, shots=shots, seed=seed))
         )
     readout = measure_readout(backend, shots=shots, seed=seed)
-    if include_crosstalk:
+    if include_crosstalk and n <= _CROSSTALK_MAX_QUBITS:
         crosstalk = measure_crosstalk(backend, shots=16384, seed=seed)
     else:
         crosstalk = None

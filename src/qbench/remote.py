@@ -15,6 +15,10 @@ The client never submits without an idempotency key, and network-level
 retries reuse the key, so a flaky link cannot double-execute a batch.  The
 mock server wraps any local backend and is good enough to integration-test
 every metric without hardware.
+
+``requests`` and ``http.server`` are imported only when a client or a mock
+server is built, so importing this module (as ``qbench.cli`` does) loads no
+HTTP stack on the local path.
 """
 from __future__ import annotations
 
@@ -22,9 +26,6 @@ import json
 import threading
 import time
 import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-import requests
 
 from .backends import Backend, BackendError, CapabilityError, JobNotFoundError, SubmitTimeout
 from .circuits import Circuit
@@ -53,6 +54,8 @@ class RemoteBackend(Backend):
         poll_interval_s: float = 0.05,
         timeout_s: float = 60.0,
     ) -> None:
+        import requests
+
         self.base_url = base_url.rstrip("/")
         self._n = n_qubits
         self._connectivity = connectivity
@@ -81,6 +84,8 @@ class RemoteBackend(Backend):
         return tables
 
     def submit(self, circuits: list[Circuit], shots: int, seed: int) -> str:
+        import requests  # loaded by __init__; here only a sys.modules lookup
+
         body = {
             "circuits": [circuit_to_dict(c) for c in circuits],
             "shots": int(shots),
@@ -167,6 +172,8 @@ class MockServer:
         self._pending: dict[str, tuple] = {}  # job id -> _execute's arguments
         self._finished: dict[str, str] = {}  # job id -> idempotency key, oldest first
         self._lock = threading.Lock()
+
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
         server = self
 

@@ -74,6 +74,20 @@ class TestExitCodes:
         assert sorted(rec.scalars) == ["beta_n2", "beta_n3", "qscore"]
         assert rec.scalars["qscore"]["value"] == 3
 
+    def test_calibrate_wider_than_crosstalk_cap_skips_crosstalk(self, tmp_path):
+        path = tmp_path / "seven_qubits.json"
+        save_device(ideal_device(7), str(path))
+        code = cli_main(["calibrate", "--device", str(path), "--shots", "64", "--seed", "1",
+                         "--out", str(tmp_path)])
+        rec = [r for r in RunStore(str(tmp_path)).records() if r.metric == "calibrate"][-1]
+        assert "crosstalk_skipped" in rec.flags
+        assert "crosstalk_max_row_l1" not in rec.scalars
+        assert "f1q_q6" in rec.scalars
+        # on a noiseless device only the unidentifiable decay fits fail the run
+        fit_flags = [f for f in rec.flags if f != "crosstalk_skipped"]
+        assert all(f.endswith("_invalid") for f in fit_flags)
+        assert code == (EXIT_METRIC_INVALID if fit_flags else EXIT_OK)
+
 
 class TestDeterminism:
     def test_rb_scalar_sections_byte_identical(self, tmp_path):

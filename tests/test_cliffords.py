@@ -6,6 +6,8 @@ precomputed index tables.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import compose_cliffords, inverse_clifford
 from qbench import cliffords as cl
@@ -70,6 +72,31 @@ class TestGroupStructure:
             left = cl.COMPOSE_TABLE[cl.COMPOSE_TABLE[a, b], c]
             right = cl.COMPOSE_TABLE[a, cl.COMPOSE_TABLE[b, c]]
             assert left == right
+
+
+def _search(u: np.ndarray) -> int:
+    """Index of the one element equal to ``u`` up to phase, by brute force."""
+    (found,) = [k for k, m in enumerate(cl.MATRICES) if cl.equal_up_to_phase(u, m)]
+    return found
+
+
+class TestPhaseKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, cl.N_CLIFFORDS - 1), st.floats(-2 * np.pi, 2 * np.pi))
+    def test_key_ignores_global_phase(self, k, phi):
+        u = cl.MATRICES[k]
+        key, rotated = cl._phase_keys(np.array([u, np.exp(1j * phi) * u]))
+        assert rotated == key
+
+    def test_24_distinct_keys(self):
+        assert len(set(cl._phase_keys(np.array(cl.MATRICES)))) == cl.N_CLIFFORDS
+
+    def test_tables_equal_brute_force_search(self):
+        compose = [[_search(cl.MATRICES[b] @ cl.MATRICES[a]) for b in range(cl.N_CLIFFORDS)]
+                   for a in range(cl.N_CLIFFORDS)]
+        assert np.array_equal(cl.COMPOSE_TABLE, compose)
+        assert np.array_equal(cl.INVERSE_TABLE, [_search(m.conj().T) for m in cl.MATRICES])
+        assert cl.IDENTITY_INDEX == _search(np.eye(2))
 
 
 class TestDecompositions:

@@ -1,5 +1,8 @@
 """Job-protocol tests against the bundled mock server."""
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -22,6 +25,24 @@ from qbench.remote import MockServer, RemoteBackend
 from qbench.serialization import circuit_to_dict
 from qbench.simulator import ShotTable
 from qbench.system import CLOPSConfig, CLOPSPartialError, run_clops
+
+
+# Imports qbench the way a local CLI run does, then builds a client.
+_IMPORT_PROBE = """
+import json, sys
+import qbench.cli, qbench.remote
+local = sorted(m for m in ("requests", "urllib3", "http.server") if m in sys.modules)
+qbench.remote.RemoteBackend("http://127.0.0.1:9", n_qubits=2)
+print(json.dumps({"local": local, "client_loads_requests": "requests" in sys.modules}))
+"""
+
+
+def test_local_path_imports_no_http_stack():
+    src = os.path.dirname(os.path.dirname(qbench.remote.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert json.loads(out) == {"local": [], "client_loads_requests": True}
 
 
 @pytest.fixture()
