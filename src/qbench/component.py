@@ -64,6 +64,7 @@ T2HAHN_MAX_WAIT_US = 120.0
 def gen_rb_sequences(cfg: RBConfig, qubit: int, n_qubits: int) -> list[Circuit]:
     """Random Clifford sequences with their closing inverse, one per (length, rep)."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, qubit, 0x5B]))
+    table = [e.to_ops(qubit) for e in cliffords.ELEMENTS]  # Gate is frozen: share the tuples
     circuits = []
     for n_cliff in cfg.lengths:
         for rep in range(cfg.sequences_per_length):
@@ -71,7 +72,7 @@ def gen_rb_sequences(cfg: RBConfig, qubit: int, n_qubits: int) -> list[Circuit]:
             inv = cliffords.INVERSE_TABLE[cliffords.compose_indices(list(indices))]
             ops: list[Gate] = []
             for idx in itertools.chain(indices, (inv,)):
-                ops.extend(cliffords.ELEMENTS[int(idx)].to_ops(qubit))
+                ops.extend(table[idx])
             ops.append(measure_all())
             circuits.append(
                 Circuit(n_qubits, tuple(ops), label=f"rb_q{qubit}_N{n_cliff}_s{rep}")

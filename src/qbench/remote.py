@@ -39,11 +39,12 @@ _FINISHED_JOBS_KEPT = 64
 class RemoteBackend(Backend):
     """Client for the job protocol above.
 
-    ``run`` submits a batch, waits up to ``timeout_s`` for it and fetches its
-    tables.  On :class:`SubmitTimeout` the handle stays valid, and ``wait``
-    and ``result`` retrieve the tables later; once ``run`` has the tables it
-    forgets the handle.  A submission that fails twice on the network raises
-    :class:`BackendError`.
+    ``run`` submits a batch, waits up to ``timeout_s`` for it and builds its
+    tables from the ``done`` document that ``wait`` returns, so a finished
+    job costs no extra GET.  On :class:`SubmitTimeout` the handle stays
+    valid, and ``wait`` and ``result`` retrieve the tables later; once
+    ``run`` has the tables it forgets the handle.  A submission that fails
+    twice on the network raises :class:`BackendError`.
     """
 
     def __init__(
@@ -78,8 +79,7 @@ class RemoteBackend(Backend):
 
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
         handle = self.submit(circuits, shots, seed)
-        self.wait(handle, self.timeout_s)
-        tables = self.result(handle)
+        tables = self._tables(handle, self.wait(handle, self.timeout_s))
         del self._context[handle]  # a timed-out handle keeps it for late retrieval
         return tables
 
@@ -117,12 +117,13 @@ class RemoteBackend(Backend):
         resp.raise_for_status()
         return resp.json()
 
-    def wait(self, handle: str, timeout_s: float = 60.0) -> None:
+    def wait(self, handle: str, timeout_s: float = 60.0) -> dict:
+        """Poll until the job is done and return its ``done`` status document."""
         deadline = time.monotonic() + timeout_s
         while True:
             doc = self.status(handle)
             if doc["status"] == "done":
-                return
+                return doc
             if doc["status"] == "failed":
                 raise BackendError(f"job {handle} failed: {doc.get('error', '')}")
             if time.monotonic() >= deadline:
@@ -133,6 +134,10 @@ class RemoteBackend(Backend):
         doc = self.status(handle)
         if doc["status"] != "done":
             raise SubmitTimeout(handle, f"job {handle} is {doc['status']}")
+        return self._tables(handle, doc)
+
+    def _tables(self, handle: str, doc: dict) -> list[ShotTable]:
+        """Validate a ``done`` document against the submitted batch."""
         if handle not in self._context:
             raise JobNotFoundError(f"job {handle} was not submitted by this client")
         widths, shots = self._context[handle]

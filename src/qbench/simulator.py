@@ -18,8 +18,18 @@ each qubit) runs for the duration of every scheduling layer on every qubit.
 In both modes each qubit's single-qubit maps between two CZs multiply into
 one pending d x d map (d = 2 or 4), applied with one matrix product before
 the qubit's next CZ and at the end; a CZ is a constant sign mask on two
-axes.  Sampled bits then pass through per-qubit readout confusion with an
-optional correlated flip term.
+axes.  A scheduling layer holds at most one gate per qubit, so on the
+density path a qubit's pulse and the idle decay of the layer it sits in
+join the pending map as one fused 4x4 map, idle @ (depolarizing @ pulse),
+built once per call for each (pulse kind, qubit, layer duration).
+
+Sampled bits then pass through per-qubit readout confusion with an
+optional correlated flip term.  The draws from the generator are part of
+the determinism contract and come in this order: one ``choice`` of
+``shots`` outcomes over the active qubits (none when no qubit is active),
+then one (n, shots) block of uniforms whose row q decides qubit q's
+readout flips, then, with correlated readout on, one block of ``shots``
+uniforms per device edge inside the register, in edge order.
 
 Bit convention everywhere: qubit 0 is the leftmost character of a
 bitstring, i.e. the most significant bit of a basis index.
@@ -165,7 +175,9 @@ def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> 
     duration.  Each qubit keeps one pending d x d map of its single-qubit
     maps since its last CZ (RZ frames as row scalings), flushed before its
     next CZ and at the end; maps on different qubits commute, so the fusion
-    is exact.
+    is exact.  A layer holds at most one gate per qubit, so on the density
+    path a qubit's pulse and the idle decay of its layer are pushed as one
+    map, cached per (pulse kind or None, axis, layer duration).
     """
     k = len(qubits)
     pos = {q: i for i, q in enumerate(qubits)}
@@ -178,7 +190,7 @@ def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> 
         deps = [depolarizing_superop(device.p1[q]) for q in qubits]
         pulses = {kind: [dep @ s for dep in deps] for kind, s in _PULSE_SUPEROPS.items()}
         layers = circuit.layers()[:-1] if circuit.has_measurement else circuit.layers()
-        idle_cache: dict[tuple[int, float], np.ndarray | None] = {}
+        fused: dict[tuple[str | None, int, float], np.ndarray | None] = {}
     identity = np.eye(d, dtype=complex)
     state = np.zeros((d,) * k, dtype=complex)
     state[(0,) * k] = 1.0
@@ -193,11 +205,23 @@ def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> 
             state = (pending[i] @ state.reshape(d**i, d, -1)).reshape(state.shape)
             pending[i] = None
 
+    def fuse(kind: str | None, i: int, duration: float) -> np.ndarray | None:
+        qp = device.qubits[qubits[i]]
+        idle = idle_superop(qp.t1_us, qp.t2_us, duration)
+        if kind is None:
+            return idle
+        return pulses[kind][i] if idle is None else idle @ pulses[kind][i]
+
     for layer in layers:
+        duration = 0.0
+        pulsed: dict[int, str] = {}  # axis -> pulse kind, applied with the layer's idle decay
         for g in layer:
             if g.kind in pulses:
                 i = pos[g.qubits[0]]
-                push(i, pulses[g.kind][i])
+                if device is None:
+                    push(i, pulses[g.kind][i])
+                else:
+                    pulsed[i] = g.kind
             elif g.kind == "RZ":
                 i = pos[g.qubits[0]]
                 phase = cmath.exp(rz_rate * g.angle_rad)
@@ -212,16 +236,16 @@ def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> 
                 state *= _on_axes(_CZ_MASK[d], k, a, b)
                 if device is not None and device.p2 > 0:
                     state = _depolarize_2q(state, device.p2, a, b)
-        if device is None:
+            if device is not None:
+                duration = max(duration, device.timing.gate_duration_ns(g))
+        if device is None or (duration <= 0 and not pulsed):
             continue
-        duration = max(device.timing.gate_duration_ns(g) for g in layer)
-        if duration > 0:
-            for i, q in enumerate(qubits):
-                if (q, duration) not in idle_cache:
-                    qp = device.qubits[q]
-                    idle_cache[q, duration] = idle_superop(qp.t1_us, qp.t2_us, duration)
-                if idle_cache[q, duration] is not None:
-                    push(i, idle_cache[q, duration])
+        for i in range(k):
+            key = (pulsed.get(i), i, duration)
+            if key not in fused:
+                fused[key] = fuse(*key)
+            if fused[key] is not None:
+                push(i, fused[key])
     for i in range(k):
         flush(i)
     return state
@@ -309,20 +333,18 @@ def run_noisy(
             raise ValueError(f"CZ on unconnected pair {g.qubits}")
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    bits = np.zeros((shots, n), dtype=np.uint8)
+    bits = np.zeros((n, shots), dtype=bool)  # row q holds qubit q's bit per shot
     active, probs = _outcome_probs(circuit, device)
     if active:
         k = len(active)
         outcomes = rng.choice(2**k, size=shots, p=probs)
         for i, q_phys in enumerate(active):
-            bits[:, q_phys] = (outcomes >> (k - 1 - i)) & 1
+            bits[q_phys] = (outcomes >> (k - 1 - i)) & 1
 
-    # per-qubit readout confusion
-    for q in range(n):
-        m = device.qubits[q].readout
-        p_flip = np.where(bits[:, q] == 1, m[1][0], m[0][1])
-        flips = rng.random(shots) < p_flip
-        bits[:, q] ^= flips.astype(np.uint8)
+    # per-qubit readout confusion: one uniform block, row q for qubit q
+    p10 = np.array([device.qubits[q].readout[1][0] for q in range(n)])
+    p01 = np.array([device.qubits[q].readout[0][1] for q in range(n)])
+    bits ^= rng.random((n, shots)) < np.where(bits, p10[:, None], p01[:, None])
 
     # optional correlated readout flips along device edges
     eps = device.correlated_readout_epsilon
@@ -330,12 +352,11 @@ def run_noisy(
         for a, b in device.edges:
             if a < n and b < n:
                 mask = rng.random(shots) < eps
-                bits[:, a] ^= mask.astype(np.uint8)
-                bits[:, b] ^= mask.astype(np.uint8)
+                bits[a] ^= mask
+                bits[b] ^= mask
 
     weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    ints = bits.astype(np.int64) @ weights
-    values, counts = np.unique(ints, return_counts=True)
+    values, counts = np.unique(weights @ bits, return_counts=True)
     table = {
         index_to_bitstring(int(v), n): int(c) for v, c in zip(values, counts)
     }

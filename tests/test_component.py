@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from qbench import cliffords
 from qbench.backends import LocalSimBackend
-from qbench.circuits import TimingModel
+from qbench.circuits import TimingModel, measure_all
 from qbench.cliffords import AVG_PULSES_PER_CLIFFORD
 from qbench.component import (
     T2HAHN_MAX_WAIT_US,
@@ -76,6 +77,22 @@ class TestRBSequences:
         for c in gen_rb_sequences(cfg, qubit=0, n_qubits=1):
             probs = run_ideal(c)
             assert probs[0] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("cfg", [RBConfig(), RBConfig(lengths=(1, 3, 7), sequences_per_length=4,
+                                                          seed=11)], ids=["default", "short"])
+    @pytest.mark.parametrize("qubit", [0, 4])
+    def test_matches_per_element_ops(self, cfg, qubit):
+        """The shared op table builds the circuits each element's ``to_ops`` would."""
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, qubit, 0x5B]))
+        expected = []
+        for n_cliff in cfg.lengths:
+            for rep in range(cfg.sequences_per_length):
+                indices = [int(i) for i in rng.integers(0, cliffords.N_CLIFFORDS, size=n_cliff)]
+                sequence = indices + [cliffords.INVERSE_TABLE[cliffords.compose_indices(indices)]]
+                ops = [g for i in sequence for g in cliffords.ELEMENTS[i].to_ops(qubit)]
+                expected.append((tuple(ops) + (measure_all(),), f"rb_q{qubit}_N{n_cliff}_s{rep}"))
+        circuits = gen_rb_sequences(cfg, qubit, n_qubits=5)
+        assert [(c.ops, c.label) for c in circuits] == expected
 
 
 class TestRBRoundTrip:

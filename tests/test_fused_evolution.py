@@ -124,6 +124,17 @@ def test_coherence_circuits_agree(wait_us):
         assert_agrees_with_oracle(c, STARMON)
 
 
+@pytest.mark.parametrize("circuit", [
+    Circuit(3, (x90(0), cz(1, 2), y90(0), x(1), measure_all())),
+    Circuit(2, (x(0), wait(1, 800.0), x90(0), y90(1))),
+    Circuit(2, (x90(0), rz(1, 0.3), wait(0, 500.0), x(1), x90(1))),
+], ids=["longer_cz", "longer_wait", "rz_then_pulse"])
+def test_pulse_sharing_a_longer_layer_agrees(circuit):
+    """A pulse fused with its layer's idle decay, where another gate sets
+    that layer's duration; the unpulsed qubits decay alone."""
+    assert_agrees_with_oracle(circuit, STARMON)
+
+
 @pytest.mark.parametrize("width", [2, 3, 4, 5])
 def test_qv_circuits_agree(width):
     order = [2, 0, 1, 3, 4]

@@ -62,6 +62,16 @@ class TestProtocol:
         assert tables[0].counts == {"100": 50}
         assert tables[0].n_qubits == 3
 
+    def test_run_reads_status_once(self, server, monkeypatch):
+        """``run`` builds its tables from the ``done`` document ``wait`` saw."""
+        seen = []
+        handle_status = server.handle_status
+        monkeypatch.setattr(server, "handle_status",
+                            lambda job_id: seen.append(job_id) or handle_status(job_id))
+        backend = RemoteBackend(server.url, n_qubits=3)
+        assert backend.run([_circuit()], 10, seed=1)[0].counts == {"100": 10}
+        assert len(seen) == 1
+
     def test_unknown_job_is_404(self, server):
         resp = requests.get(f"{server.url}/jobs/not-a-job")
         assert resp.status_code == 404
