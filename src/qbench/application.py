@@ -1,6 +1,6 @@
 """Application-level benchmarks: Max-Cut scoring and a small algorithm suite.
 
-The Max-Cut score runs depth-p alternating-operator circuits on random
+The Max-Cut score runs depth-1 alternating-operator circuits on random
 G(N, 1/2) graphs under a wall-clock budget.  Per graph size the average
 sampled cut is normalized between the random baseline |E|/2 and the exact
 optimum; a size passes when that ratio clears the threshold inside the time
@@ -95,6 +95,9 @@ def maxcut_brute(graph: Graph) -> tuple[int, int]:
 
 # --- alternating-operator Max-Cut circuits -------------------------------------
 
+P_DEPTH = 1  # alternating-operator layers of the Max-Cut score
+BETA_STAR = 0.2  # normalized cut ratio a size must beat
+SIMPLEX_TOL = 1e-3  # simplex size below which the angle search restarts
 
 def _rx_slot(qubit: int, first: int) -> list[Gate | ParamRZ]:
     """RX(theta) as bound later: RZ X90 RZ X90 RZ with parameters first..first+2."""
@@ -156,10 +159,8 @@ class TimeBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class QAOAConfig:
-    p_depth: int = 1
     shots: int = 1024
     max_evaluations: int = 75
-    simplex_tol: float = 1e-3
 
 
 @dataclass
@@ -282,7 +283,7 @@ def qaoa_maxcut(
     positions = tuple(mapping)
     # compiled once; each evaluation only binds its angles
     template = maxcut_ansatz(
-        graph, cfg.p_depth,
+        graph, P_DEPTH,
         qubit_map=mapping,
         n_qubits=backend.n_qubits,
         connectivity=backend.connectivity,
@@ -298,7 +299,7 @@ def qaoa_maxcut(
     def objective(params: np.ndarray) -> float:
         if out_of_time():
             raise TimeBudgetExceeded(dict(state))
-        gammas, betas = params[: cfg.p_depth], params[cfg.p_depth :]
+        gammas, betas = params[:P_DEPTH], params[P_DEPTH:]
         circuit = template.bind(ansatz_angles(gammas, betas))
         (table,) = submit_and_wait(
             backend, [circuit], cfg.shots, seed=seed * 7 + state["evals"]
@@ -319,13 +320,13 @@ def qaoa_maxcut(
             state["best_params"] = tuple(map(float, params))
         return mean
 
-    x0 = np.array([0.8] * cfg.p_depth + [0.4] * cfg.p_depth)
+    x0 = np.array([0.8] * P_DEPTH + [0.4] * P_DEPTH)
     final_mean = None
     try:
         _nelder_mead_max(
             objective, x0, spread=0.6,
             max_evals=cfg.max_evaluations,
-            tol=cfg.simplex_tol,
+            tol=SIMPLEX_TOL,
             out_of_time=out_of_time,
         )
         # fresh sample at the best point: the reported mean must not carry
@@ -352,9 +353,7 @@ class QScoreConfig:
     sizes: tuple[int, ...] = (2, 3, 4, 5)
     graphs_per_size: int = 5
     time_limit_s: float = 60.0
-    p_depth: int = 1
     shots: int = 1024
-    beta_star: float = 0.2
     max_evaluations: int = 75
 
 
@@ -415,11 +414,7 @@ def run_qscore(backend: Backend, cfg: QScoreConfig | None = None, seed: int = 0)
                 res = qaoa_maxcut(
                     graph,
                     backend,
-                    QAOAConfig(
-                        p_depth=cfg.p_depth,
-                        shots=cfg.shots,
-                        max_evaluations=cfg.max_evaluations,
-                    ),
+                    QAOAConfig(shots=cfg.shots, max_evaluations=cfg.max_evaluations),
                     seed=seed * 991 + n * 13 + g_idx,
                     time_budget_s=budget_each,
                 )
@@ -436,7 +431,7 @@ def run_qscore(backend: Backend, cfg: QScoreConfig | None = None, seed: int = 0)
             flags.append("degenerate_denominator")
         else:
             beta = (c_bar - r_bar) / (o_bar - r_bar)
-        passed = beta > cfg.beta_star and elapsed <= cfg.time_limit_s and not flags
+        passed = beta > BETA_STAR and elapsed <= cfg.time_limit_s and not flags
         per_size.append(
             QScoreSizeResult(
                 size=n,
@@ -463,6 +458,7 @@ def run_qscore(backend: Backend, cfg: QScoreConfig | None = None, seed: int = 0)
 
 # --- three-algorithm volumetric suite ----------------------------------------------
 
+_VARIANTS_PER_CELL = 3  # hidden strings and Fourier basis states per width
 
 @dataclass(frozen=True)
 class VolumetricCell:
@@ -488,19 +484,21 @@ def normalized_fidelity(ideal: np.ndarray, measured: np.ndarray) -> float:
     return max(0.0, (f_s - f_u) / (1.0 - f_u))
 
 
-def bv_circuit(secret: str) -> Circuit:
-    """Hidden-string parity circuit: the ideal output is the secret itself."""
-    n = len(secret)
+def _phase_oracle_circuit(n: int, marked: str, label: str) -> Circuit:
+    """H on every qubit, Z on each marked one, H again: the output is the marked string."""
     ops: list[Gate] = []
     for q in range(n):
         ops.extend(h_ops(q))
-    for q, bit in enumerate(secret):
-        if bit == "1":
-            ops.append(rz(q, np.pi))
+    ops.extend(rz(q, np.pi) for q, bit in enumerate(marked) if bit == "1")
     for q in range(n):
         ops.extend(h_ops(q))
     ops.append(measure_all())
-    return Circuit(n, tuple(ops), label=f"bv_{secret}")
+    return Circuit(n, tuple(ops), label=label)
+
+
+def bv_circuit(secret: str) -> Circuit:
+    """Hidden-string parity circuit: the ideal output is the secret itself."""
+    return _phase_oracle_circuit(len(secret), secret, f"bv_{secret}")
 
 
 def dj_circuit(n: int, oracle_bits: str | None) -> Circuit:
@@ -510,20 +508,11 @@ def dj_circuit(n: int, oracle_bits: str | None) -> Circuit:
     parity oracle over the marked subset.  Constant oracles land on all
     zeros, balanced ones anywhere else.
     """
-    ops: list[Gate] = []
-    for q in range(n):
-        ops.extend(h_ops(q))
-    if oracle_bits is not None:
-        if set(oracle_bits) <= {"0"}:
-            raise ValueError("balanced oracle needs a nonempty subset")
-        for q, bit in enumerate(oracle_bits):
-            if bit == "1":
-                ops.append(rz(q, np.pi))
-    for q in range(n):
-        ops.extend(h_ops(q))
-    ops.append(measure_all())
-    label = "dj_const" if oracle_bits is None else f"dj_bal_{oracle_bits}"
-    return Circuit(n, tuple(ops), label=label)
+    if oracle_bits is None:
+        return _phase_oracle_circuit(n, "0" * n, "dj_const")
+    if set(oracle_bits) <= {"0"}:
+        raise ValueError("balanced oracle needs a nonempty subset")
+    return _phase_oracle_circuit(n, oracle_bits, f"dj_bal_{oracle_bits}")
 
 
 def _cp_ops(control: int, target: int, phi: float) -> list[Gate]:
@@ -578,7 +567,6 @@ def run_app_suite(
     widths: tuple[int, ...] = (2, 3, 4, 5),
     shots: int = 1024,
     seed: int = 0,
-    variants_per_cell: int = 3,
 ) -> list[VolumetricCell]:
     """Fidelity per (algorithm, width) cell, depth taken from compiled circuits."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA9]))
@@ -594,7 +582,7 @@ def run_app_suite(
         mapping = order[:width]
         positions = tuple(mapping)
         groups: dict[str, list[Circuit]] = {"bv": [], "dj": [], "qft": []}
-        for _ in range(variants_per_cell):
+        for _ in range(_VARIANTS_PER_CELL):
             secret = "".join(rng.choice(["0", "1"], size=width))
             groups["bv"].append(bv_circuit(secret))
             state = int(rng.integers(0, 2**width))

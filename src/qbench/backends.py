@@ -22,7 +22,7 @@ import abc
 
 import numpy as np
 
-from .circuits import Circuit, TimingModel
+from .circuits import GATE_KINDS, Circuit, TimingModel
 from .device import DeviceModel
 from .simulator import ShotTable, run_noisy
 
@@ -50,7 +50,6 @@ class SubmitTimeout(BackendError):
 class Backend(abc.ABC):
     """Executes circuit batches and returns measurement histograms."""
 
-    native_gates: tuple[str, ...] = ("X", "X90", "Y90", "RZ", "CZ", "WAIT", "MEASURE_ALL")
     timing: TimingModel | None = None
 
     @property
@@ -74,18 +73,19 @@ class Backend(abc.ABC):
         return {
             "kind": type(self).__name__,
             "n_qubits": self.n_qubits,
-            "native_gates": list(self.native_gates),
+            "native_gates": list(GATE_KINDS),
         }
 
     def check_capabilities(self, circuits: list[Circuit]) -> None:
+        edges = self.connectivity
         for c in circuits:
             if c.n_qubits > self.n_qubits:
                 raise CapabilityError(
                     f"circuit {c.label!r} needs {c.n_qubits} qubits, backend has {self.n_qubits}"
                 )
-            if self.connectivity is not None:
+            if edges is not None:
                 for g in c.ops:
-                    if g.kind == "CZ" and tuple(sorted(g.qubits)) not in self.connectivity:
+                    if g.kind == "CZ" and tuple(sorted(g.qubits)) not in edges:
                         raise CapabilityError(
                             f"circuit {c.label!r} has CZ on unconnected pair {g.qubits}"
                         )

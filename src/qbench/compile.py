@@ -191,10 +191,10 @@ def _split_tensor_product(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _simultaneous_orthogonal_eigh(p: np.ndarray, rng_salt: int = 0) -> np.ndarray:
+def _simultaneous_orthogonal_eigh(p: np.ndarray) -> np.ndarray:
     """Real orthogonal O diagonalizing a symmetric unitary P."""
     pr, pi = p.real, p.imag
-    rng = np.random.default_rng(12345 + rng_salt)
+    rng = np.random.default_rng(12345)
     for _ in range(24):
         t = rng.uniform(0.2, 0.8)
         _, o = np.linalg.eigh(pr * t + pi * (1 - t))
@@ -323,21 +323,11 @@ def _common_neighbor(a: int, b: int, edges: frozenset[tuple[int, int]]) -> int:
 
 
 def route_ops(ops: list[Gate], edges: frozenset[tuple[int, int]] | None) -> list[Gate]:
-    """Replace CZ gates on unconnected pairs with swap-sandwiched routed CZs.
-
-    Only single-hop routing through a common neighbour is supported, which
-    covers star and complete connectivities.
-    """
-    if edges is None:
-        return list(ops)
+    """Route every CZ on its own: each is a one-gate :func:`routed_block`."""
     out: list[Gate] = []
     for g in ops:
-        if g.kind == "CZ" and tuple(sorted(g.qubits)) not in edges:
-            a, b = g.qubits
-            c = _common_neighbor(a, b, edges)
-            out.extend(swap_ops(a, c))
-            out.append(cz(c, b))
-            out.extend(swap_ops(a, c))
+        if g.kind == "CZ":
+            out.extend(routed_block([g], *g.qubits, edges))
         else:
             out.append(g)
     return out
@@ -347,10 +337,11 @@ def routed_block(block: list[Gate | ParamRZ], a: int, b: int,
                  edges: frozenset[tuple[int, int]] | None) -> list[Gate | ParamRZ]:
     """Route a whole two-qubit block at once.
 
-    If (a, b) is connected the block passes through unchanged; otherwise one
-    qubit is swapped next to the other, the block runs there, and the swap is
-    undone, costing six routing CZs per block instead of six per CZ.  The
-    block may hold ``ParamRZ`` slots; they move with their qubit.
+    If (a, b) is connected, or ``edges`` is None, the block passes through
+    unchanged; otherwise ``a`` is swapped to a common neighbour of ``b``, the
+    block runs there, and the swap is undone: six routing CZs per block.
+    Only this one hop is supported, enough for star and complete coupling.
+    ``ParamRZ`` slots in the block move with their qubit.
     """
     if edges is None or tuple(sorted((a, b))) in edges:
         return list(block)
@@ -361,6 +352,7 @@ def routed_block(block: list[Gate | ParamRZ], a: int, b: int,
             moved.append(ParamRZ(c if g.qubit == a else g.qubit, g.index))
         else:
             qs = tuple(c if q == a else q for q in g.qubits)
-            moved.append(Gate(g.kind, qs, angle_rad=g.angle_rad, duration_ns=g.duration_ns))
+            moved.append(cz(*qs) if g.kind == "CZ" else
+                         Gate(g.kind, qs, angle_rad=g.angle_rad, duration_ns=g.duration_ns))
     swap = list(swap_ops(a, c))
     return swap + moved + swap

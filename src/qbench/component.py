@@ -44,16 +44,16 @@ class RBConfig:
 
 @dataclass(frozen=True)
 class CoherenceConfig:
-    n_waits: int = 32
     max_wait_us: float = 60.0
     detuning_mhz: float = 0.125
     shots: int = 4096
     seed: int = 0
 
     def waits_us(self) -> np.ndarray:
-        return np.linspace(0.0, self.max_wait_us, self.n_waits)
+        return np.linspace(0.0, self.max_wait_us, _N_WAITS)
 
 
+_N_WAITS = 32  # points of every coherence scan
 T1_MAX_WAIT_US = 60.0
 T2STAR_MAX_WAIT_US = 24.0
 T2HAHN_MAX_WAIT_US = 120.0
@@ -138,11 +138,10 @@ _CROSSTALK_MAX_QUBITS = 6
 
 @dataclass(frozen=True)
 class ReadoutAssignment:
-    """Per-qubit confusion matrices, and optionally the joint matrix."""
+    """Per-qubit confusion matrices."""
 
     per_qubit: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
     shots: int
-    full_matrix: np.ndarray | None = None
 
     def fidelity(self, qubit: int) -> float:
         m = self.per_qubit[qubit]
@@ -182,17 +181,13 @@ class CrosstalkResult:
     max_row_offdiag: float
     shots: int
 
-    @property
-    def summary(self) -> float:
-        return self.max_row_l1
-
 
 def measure_crosstalk(backend: Backend, shots: int = 16384, seed: int = 0) -> CrosstalkResult:
     """Full-register assignment matrix from every joint basis-state preparation.
 
     The independent-readout prediction is the tensor product of per-qubit
-    matrices estimated from the same data's marginals; the summary scalar is
-    the worst row's L1 distance from that prediction.
+    matrices estimated from the same data's marginals; ``max_row_l1`` is the
+    worst row's L1 distance from that prediction.
     """
     n = backend.n_qubits
     if n > _CROSSTALK_MAX_QUBITS:

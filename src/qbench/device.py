@@ -92,16 +92,18 @@ class DeviceModel:
             for a, b in canon:
                 if a == b or not (0 <= a < n and 0 <= b < n):
                     raise ValueError(f"bad edge ({a}, {b})")
+        # built once: routing and every simulated CZ look pairs up in it
+        object.__setattr__(self, "_edge_set", None if self.edges is None else frozenset(self.edges))
 
     @property
     def n_qubits(self) -> int:
         return len(self.qubits)
 
     def edge_set(self) -> frozenset[tuple[int, int]] | None:
-        return None if self.edges is None else frozenset(self.edges)
+        return self._edge_set
 
     def is_connected(self, a: int, b: int) -> bool:
-        return self.edges is None or tuple(sorted((a, b))) in self.edge_set()
+        return self._edge_set is None or (min(a, b), max(a, b)) in self._edge_set
 
     def with_coherence_scale(self, t1_mult: float, t2_mults: list[float]) -> "DeviceModel":
         """Scaled copy; T2 is clipped to the 2*T1 physical bound."""
@@ -230,16 +232,19 @@ _STARMON5_T2STAR = (13.29, 24.68, 21.40, 21.40, 16.20)
 _STARMON5_F1Q = (99.798, 99.827, 99.812, 99.828, 99.868)
 _STARMON5_FRO = (96.7, 96.8, 97.5, 98.4, 96.4)
 STARMON5_EDGES = ((0, 2), (1, 2), (2, 3), (2, 4))
+# CZ depolarizing strength: a placeholder set so the model lands on the
+# published volume of 4
+_STARMON5_P2 = 0.03
 
 
-def starmon5_reference_model(p2: float = 0.03, drift: DriftSchedule | None = None) -> DeviceModel:
+def starmon5_reference_model(drift: DriftSchedule | None = None) -> DeviceModel:
     """Five-qubit star-connectivity reference device.
 
     Readout infidelity splits symmetrically into both confusion entries, and
     the per-qubit depolarizing strength is back-solved so the benchmarking
-    round trip reproduces the tabulated gate fidelities.  ``p2`` is an
-    invented placeholder (the reference characterization measured no
-    two-qubit fidelity) set so the model lands on the published volume of 4.
+    round trip reproduces the tabulated gate fidelities.  The CZ
+    depolarizing strength is an invented placeholder: the reference
+    characterization measured no two-qubit fidelity.
     """
     timing = TimingModel()
     qubits = []
@@ -252,7 +257,7 @@ def starmon5_reference_model(p2: float = 0.03, drift: DriftSchedule | None = Non
     return DeviceModel(
         qubits=tuple(qubits),
         p1=tuple(p1),
-        p2=p2,
+        p2=_STARMON5_P2,
         timing=timing,
         edges=STARMON5_EDGES,
         drift=drift,

@@ -13,7 +13,7 @@ grid search is unweighted; shot-noise weights enter in the polish.
 The solver is a damped least-squares (Levenberg-Marquardt) loop with
 analytic Jacobians, box bounds enforced by projection, and standard errors
 from the residual-scaled inverse normal matrix.  Fits never raise on bad
-data: degenerate or oscillation-free series come back flagged
+data: degenerate, decay-free or oscillation-free series come back flagged
 "unidentifiable" with converged=False.  Weighting by shot noise is off by
 default; pass weighted=True for inverse-variance weights.
 
@@ -347,4 +347,7 @@ def fit_damped_sinusoid(
     # no dominant oscillation: the grid barely beats a constant, or the
     # amplitude is statistically indistinguishable from zero
     no_oscillation = flat_rss > 0 and (grid_rss / flat_rss) > 0.6 and (rss / flat_rss) > 0.5
-    return _result(_SIN_NAMES, p, se, rss, conv, it, no_oscillation or abs(p[1]) < 3 * se[1])
+    # nor a measurable decay: the rate 1/T, whose z-score is T / se_T, is
+    # within 3 standard errors of zero
+    return _result(_SIN_NAMES, p, se, rss, conv, it,
+                   no_oscillation or p[2] < 3 * se[2] or abs(p[1]) < 3 * se[1])

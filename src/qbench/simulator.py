@@ -299,11 +299,11 @@ def _outcome_probs(circuit: Circuit, device: DeviceModel) -> tuple[list[int], np
     return active, _density_probs(_evolve(circuit, active, device))
 
 
-def run_ideal(circuit: Circuit, cap: int = IDEAL_QUBIT_CAP) -> np.ndarray:
+def run_ideal(circuit: Circuit) -> np.ndarray:
     """Exact outcome probabilities of a circuit on the all-zeros input."""
     n = circuit.n_qubits
-    if n > cap:
-        raise ValueError(f"ideal simulation capped at {cap} qubits, got {n}")
+    if n > IDEAL_QUBIT_CAP:
+        raise ValueError(f"ideal simulation capped at {IDEAL_QUBIT_CAP} qubits, got {n}")
     probs = np.abs(_evolve(circuit, list(range(n)), None).reshape(-1)) ** 2
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:

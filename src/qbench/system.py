@@ -121,14 +121,17 @@ def heavy_set(ideal_probs: np.ndarray) -> set[int]:
     return {int(i) for i in np.nonzero(probs > med)[0]}
 
 
+# a width passes when its heavy fraction minus QV_Z standard errors clears QV_THRESHOLD
+QV_THRESHOLD = 2.0 / 3.0
+QV_Z = 2.0
+
+
 @dataclass(frozen=True)
 class QVConfig:
     n_circuits: int = 100
     shots: int = 100
     max_width: int | None = None
     seed: int = 0
-    threshold: float = 2.0 / 3.0
-    z: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,7 @@ def run_quantum_volume(backend: Backend, cfg: QVConfig) -> QVResult:
             fractions.append(hits / cfg.shots)
         mean = float(np.mean(fractions))
         sigma = float(np.sqrt(max(mean * (1 - mean), 1e-12) / (cfg.n_circuits * cfg.shots)))
-        passed = (mean - cfg.z * sigma) > cfg.threshold
+        passed = (mean - QV_Z * sigma) > QV_THRESHOLD
         results.append(
             QVDepthResult(
                 depth=d,
@@ -244,7 +247,6 @@ class CLOPSConfig:
     m_templates: int = 100
     k_updates: int = 10
     shots: int = 100
-    d_layers: int | None = None  # defaults to log2 of the measured volume
 
 
 @dataclass
@@ -304,7 +306,7 @@ def run_clops(
     """
     if measured_qv < 2:
         raise ValueError("throughput needs a measured quantum volume of at least 2")
-    d = cfg.d_layers or int(np.log2(measured_qv))
+    d = int(np.log2(measured_qv))  # template depth and width
     if d > backend.n_qubits:
         raise ValueError(f"{d}-qubit templates do not fit a {backend.n_qubits}-qubit backend")
     order = backend.preferred_qubit_order()

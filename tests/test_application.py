@@ -262,6 +262,21 @@ class TestAlgorithms:
         probs = run_ideal(dj_circuit(3, "011"))
         assert probs[0] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_dj_is_bv_of_its_marked_string(self, n):
+        assert dj_circuit(n, None).ops == bv_circuit("0" * n).ops
+        for bits in itertools.product("01", repeat=n):
+            s = "".join(bits)
+            if "1" in s:
+                assert dj_circuit(n, s).ops == bv_circuit(s).ops
+        assert dj_circuit(n, None).label == "dj_const"
+        assert dj_circuit(n, "1" * n).label == f"dj_bal_{'1' * n}"
+        assert bv_circuit("1" * n).label == f"bv_{'1' * n}"
+
+    def test_dj_rejects_empty_balanced_subset(self):
+        with pytest.raises(ValueError):
+            dj_circuit(3, "000")
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_qft_roundtrip_every_basis_state(self, n, rng):
         for state in rng.integers(0, 2**n, size=3):

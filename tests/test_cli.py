@@ -45,6 +45,15 @@ class TestExitCodes:
         )
         assert code == EXIT_METRIC_INVALID
 
+    @pytest.mark.parametrize("seed", ["2", "3"])
+    def test_t2star_without_dephasing_exits_one(self, tmp_path, seed):
+        # no decay over the 24 us scan: T is not identified, however finite
+        code = cli_main(
+            ["coherence", "t2star", "--device", "ideal", "--qubit", "0",
+             "--shots", "512", "--out", str(tmp_path), "--seed", seed]
+        )
+        assert code == EXIT_METRIC_INVALID
+
     def test_failed_remote_job_exits_one(self, tmp_path, capsys):
         # the client is not told the star coupling, so the server fails the job
         with MockServer(LocalSimBackend(starmon5_reference_model())) as srv:

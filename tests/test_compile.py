@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from conftest import random_su2, random_u4
 from helpers import ideal_unitary
 
-from qbench.circuits import Circuit, ParamCircuit, ParamRZ, cz, x90
+from qbench.circuits import Circuit, Gate, ParamCircuit, ParamRZ, cz, rz, x90
 from qbench.cliffords import equal_up_to_phase
 from qbench.compile import (
+    _common_neighbor,
     _ops_matrix_1q,
     cnot_ops,
     h_matrix,
@@ -148,6 +149,57 @@ class TestRouting:
     def test_no_route_available(self):
         with pytest.raises(ValueError):
             route_ops([cz(0, 1)], frozenset({(0, 2)}))
+
+
+def route_ops_per_cz(ops, edges):
+    """Reference router: its own swap sandwich around each unconnected CZ."""
+    if edges is None:
+        return list(ops)
+    out = []
+    for g in ops:
+        if g.kind == "CZ" and tuple(sorted(g.qubits)) not in edges:
+            a, b = g.qubits
+            c = _common_neighbor(a, b, edges)
+            out.extend(swap_ops(a, c))
+            out.append(cz(c, b))
+            out.extend(swap_ops(a, c))
+        else:
+            out.append(g)
+    return out
+
+
+COMPLETE = frozenset((a, b) for a in range(5) for b in range(a + 1, 5))
+
+
+@st.composite
+def _gate_lists(draw):
+    """CZs on any pair of 5 qubits, in either order, among frame and pulse gates."""
+    ops = []
+    for _ in range(draw(st.integers(0, 12))):
+        a, b = draw(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True))
+        kind = draw(st.sampled_from(["CZ", "CZ", "CZ_RAW", "X90", "RZ"]))
+        if kind == "CZ":
+            ops.append(cz(a, b))
+        elif kind == "CZ_RAW":
+            ops.append(Gate("CZ", (a, b)))  # not canonicalized by cz()
+        elif kind == "X90":
+            ops.append(x90(a))
+        else:
+            ops.append(rz(a, draw(st.floats(-3.0, 3.0))))
+    return ops
+
+
+class TestRoutingMatchesPerCZReference:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_gate_lists(), edges=st.sampled_from([STAR, COMPLETE, None]))
+    def test_gate_for_gate(self, ops, edges):
+        assert route_ops(ops, edges) == route_ops_per_cz(ops, edges)
+
+    def test_moved_cz_stays_canonical(self):
+        # moving qubit 0 to the centre 2 of a star turns CZ(0, 1) into CZ(1, 2)
+        routed = routed_block([cz(0, 1)], 0, 1, STAR)
+        assert cz(1, 2) in routed
+        assert all(g.qubits[0] < g.qubits[1] for g in routed if g.kind == "CZ")
 
 
 # --- degenerate targets ----------------------------------------------------------

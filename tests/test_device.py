@@ -123,3 +123,26 @@ class TestDrift:
         scaled = dev.with_coherence_scale(1.0, [3.0] * 5)
         for q in scaled.qubits:
             assert q.t2_us <= 2 * q.t1_us
+
+
+class TestConnectivity:
+    @pytest.mark.parametrize(
+        "dev",
+        [
+            starmon5_reference_model(),
+            ideal_device(4, edges=((2, 1), (0, 1), (3, 2))),  # a line, edges given unsorted
+            ideal_device(3),
+        ],
+        ids=["star", "line", "all_to_all"],
+    )
+    def test_is_connected_agrees_with_edges(self, dev):
+        n = dev.n_qubits
+        for d in (dev, dev.with_coherence_scale(0.5, [0.5] * n)):
+            edges = None if d.edges is None else set(d.edges)
+            assert d.edge_set() == (None if edges is None else frozenset(edges))
+            for a in range(n):
+                for b in range(n):
+                    if a == b:
+                        continue
+                    want = edges is None or (min(a, b), max(a, b)) in edges
+                    assert d.is_connected(a, b) == d.is_connected(b, a) == want
