@@ -66,29 +66,27 @@ def gen_erdos_renyi(n: int, p: float = 0.5, seed: int = 0) -> Graph:
     return Graph(n_nodes=n, edges=tuple(edges))
 
 
-def cut_value(graph: Graph, bits: int) -> int:
-    """Cut size of the partition encoded by a bitmask (node 0 = MSB)."""
-    n = graph.n_nodes
-    return sum(
-        1
-        for a, b in graph.edges
-        if ((bits >> (n - 1 - a)) ^ (bits >> (n - 1 - b))) & 1
-    )
-
-
-def maxcut_brute(graph: Graph) -> tuple[int, int]:
-    """Exact maximum cut by enumeration; returns (value, witness bitmask)."""
+def cut_values(graph: Graph) -> np.ndarray:
+    """Cut size of every partition, as an int64 vector indexed like a
+    ``ShotTable.marginal`` count vector over the nodes (node 0 = MSB)."""
     n = graph.n_nodes
     if n > 24:
         raise ValueError("brute-force cut search is capped at 24 nodes")
-    if n == 1 or not graph.edges:
-        return 0, 0
-    masks = np.arange(2 ** (n - 1), dtype=np.int64)  # node 0 fixed to side 0
-    cuts = np.zeros_like(masks)
+    cuts = np.zeros((2,) * n, dtype=np.int64)
     for a, b in graph.edges:
-        bit_a = (masks >> (n - 1 - a)) & 1
-        bit_b = (masks >> (n - 1 - b)) & 1
-        cuts += bit_a ^ bit_b
+        shape = [1] * n
+        shape[a] = shape[b] = 2
+        cuts += np.array([[0, 1], [1, 0]]).reshape(shape)  # cut when a and b differ
+    return cuts.reshape(-1)
+
+
+def maxcut_brute(graph: Graph) -> tuple[int, int]:
+    """Exact maximum cut by enumeration; returns (value, witness bitmask).
+
+    The witness is the first maximum of :func:`cut_values`.  A partition
+    and its complement cut the same edges, so it always has node 0 on side 0.
+    """
+    cuts = cut_values(graph)
     best = int(np.argmax(cuts))
     return int(cuts[best]), best
 
@@ -258,13 +256,14 @@ def qaoa_maxcut(
     cfg: QAOAConfig | None = None,
     seed: int = 0,
     time_budget_s: float | None = None,
-    qubit_map: list[int] | None = None,
 ) -> QAOAResult:
     """Optimize the ansatz angles against sampled cuts.
 
-    The objective per evaluation is the mean cut over the sampled
-    bitstrings; the simplex search maximizes it, keeping the best sampled
-    cut ever observed on the side.
+    Nodes sit on the first qubits of ``backend.preferred_qubit_order()``.
+    The objective per evaluation is the mean cut over the sampled outcomes,
+    :func:`cut_values` against the ``ShotTable.marginal`` counts; the
+    simplex search maximizes it, keeping the best sampled cut ever observed
+    on the side.
     """
     cfg = cfg or QAOAConfig()
     if graph.n_nodes > backend.n_qubits:
@@ -278,9 +277,8 @@ def qaoa_maxcut(
     def out_of_time() -> bool:
         return deadline is not None and time.perf_counter() >= deadline
 
-    order = backend.preferred_qubit_order()
-    mapping = order[: graph.n_nodes] if qubit_map is None else qubit_map
-    positions = tuple(mapping)
+    mapping = backend.preferred_qubit_order()[: graph.n_nodes]
+    cuts = cut_values(graph)
     # compiled once; each evaluation only binds its angles
     template = maxcut_ansatz(
         graph, P_DEPTH,
@@ -305,16 +303,10 @@ def qaoa_maxcut(
             backend, [circuit], cfg.shots, seed=seed * 7 + state["evals"]
         )
         state["evals"] += 1
-        total = 0.0
-        best = state["best_sampled"]
-        for key, c in table.marginal(positions).items():
-            value = cut_value(graph, int(key, 2))
-            total += value * c
-            if value > best:
-                best = value
-        state["best_sampled"] = best
-        state["history"].append(best)
-        mean = total / cfg.shots
+        counts = table.marginal(mapping)
+        state["best_sampled"] = max(state["best_sampled"], int(cuts[counts > 0].max()))
+        state["history"].append(state["best_sampled"])
+        mean = int(cuts @ counts) / cfg.shots
         if mean > state["best_mean"]:
             state["best_mean"] = mean
             state["best_params"] = tuple(map(float, params))
@@ -602,9 +594,7 @@ def run_app_suite(
                 physical = Circuit(backend.n_qubits, tuple(routed), label=physical.label)
                 depth = max(depth, physical.depth())
                 (table,) = submit_and_wait(backend, [physical], shots, seed=seed * 17 + width)
-                measured = np.zeros(2**width)
-                for key, c in table.marginal(positions).items():
-                    measured[int(key, 2)] = c / shots
+                measured = table.marginal(positions) / shots
                 fids.append(normalized_fidelity(ideal, measured))
             cells.append(
                 VolumetricCell(

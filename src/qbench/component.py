@@ -198,10 +198,7 @@ def measure_crosstalk(backend: Backend, shots: int = 16384, seed: int = 0) -> Cr
     circuits = [_basis_prep_circuit(n, b) for b in range(dim)]
     tables = submit_and_wait(backend, circuits, shots, seed)
 
-    matrix = np.zeros((dim, dim))
-    for b, t in enumerate(tables):
-        for key, c in t.counts.items():
-            matrix[b, int(key, 2)] = c / shots
+    matrix = np.array([t.marginal(range(n)) / shots for t in tables])
 
     # per-qubit matrices from marginals over every preparation
     per_qubit = np.zeros((n, 2, 2))

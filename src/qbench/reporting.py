@@ -119,7 +119,7 @@ class RunStore:
 _COMPONENT_COLUMNS = ("t1_us", "t2star_us", "t2hahn_us", "f1q_pct", "fro_pct")
 
 
-def emit_report(store: RunStore, run_metrics: list[str] | None = None) -> dict:
+def emit_report(store: RunStore) -> dict:
     """Aggregate stored records into one summary document.
 
     The per-qubit table mirrors the usual characterization layout (one row
@@ -127,16 +127,8 @@ def emit_report(store: RunStore, run_metrics: list[str] | None = None) -> dict:
     system and application metrics sit beside it.  Metrics never measured
     stay null.
     """
-    records = store.records()
-    if run_metrics is not None:
-        known = {r.metric for r in records}
-        missing = set(run_metrics) - known
-        if missing:
-            raise KeyError(f"no records for metrics: {sorted(missing)}")
-        records = [r for r in records if r.metric in run_metrics]
-
     latest: dict[str, MetricReport] = {}
-    for rec in records:
+    for rec in store.records():
         latest[rec.metric] = rec  # later lines win
 
     n_qubits = 0
@@ -178,14 +170,16 @@ def emit_report(store: RunStore, run_metrics: list[str] | None = None) -> dict:
         return None if entry is None else entry["value"]
 
     q_factor = top_scalar("calibrate", "q_factor")
+    crosstalk = top_scalar("crosstalk", "max_row_l1")
+    if crosstalk is None:
+        crosstalk = top_scalar("calibrate", "crosstalk_max_row_l1")
     summary = {
         "generated_at": _now(),
         "toolkit_version": _toolkit_version,
         "component": {
             "per_qubit": qubit_rows,
             "q_factor": q_factor,
-            "crosstalk_max_row_l1": top_scalar("crosstalk", "max_row_l1")
-            or top_scalar("calibrate", "crosstalk_max_row_l1"),
+            "crosstalk_max_row_l1": crosstalk,
         },
         "system": {
             "quantum_volume": top_scalar("qv", "quantum_volume"),

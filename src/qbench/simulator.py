@@ -32,7 +32,11 @@ readout flips, then, with correlated readout on, one block of ``shots``
 uniforms per device edge inside the register, in edge order.
 
 Bit convention everywhere: qubit 0 is the leftmost character of a
-bitstring, i.e. the most significant bit of a basis index.
+bitstring, i.e. the most significant bit of a basis index.  A
+``ShotTable`` stores its counts keyed by bitstring, which is also the wire
+format, until counts move to integer keys (ROADMAP, direction 5);
+``ShotTable.marginal`` is the one place a key becomes an outcome index, and
+every metric reads those indices.
 
 Virtual RZ gates and WAIT are error-free apart from the idle decay WAIT
 adds through its duration; measurement samples the final state as-is, since
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,16 +87,22 @@ class ShotTable:
         return hits / self.shots
 
     def frequencies(self) -> np.ndarray:
-        out = np.zeros(2**self.n_qubits)
-        for b, c in self.counts.items():
-            out[int(b, 2)] = c / self.shots
-        return out
+        return self.marginal(range(self.n_qubits)) / self.shots
 
-    def marginal(self, positions: tuple[int, ...]) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for b, c in self.counts.items():
-            key = "".join(b[p] for p in positions)
-            out[key] = out.get(key, 0) + c
+    def marginal(self, positions: Iterable[int]) -> np.ndarray:
+        """Counts of the outcomes on ``positions``, indexed by outcome.
+
+        An int64 vector of length 2**len(positions) whose first position is
+        the most significant bit.  This is the one place a measured
+        bitstring becomes an outcome index.
+        """
+        positions = tuple(positions)
+        full = np.array([int(bits, 2) for bits in self.counts], dtype=np.int64)
+        index = np.zeros_like(full)
+        for p in positions:
+            index = (index << 1) | ((full >> (self.n_qubits - 1 - p)) & 1)
+        out = np.zeros(2 ** len(positions), dtype=np.int64)
+        np.add.at(out, index, list(self.counts.values()))
         return out
 
 

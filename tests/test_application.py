@@ -19,7 +19,7 @@ from qbench.application import (
     TimeBudgetExceeded,
     ansatz_angles,
     bv_circuit,
-    cut_value,
+    cut_values,
     dj_circuit,
     gen_erdos_renyi,
     hellinger_fidelity,
@@ -59,6 +59,15 @@ class TestGraphs:
             Graph(2, ((0, 1), (1, 0)))
 
 
+@st.composite
+def graphs(draw):
+    """Graphs on 1-6 nodes, edgeless ones included."""
+    n = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, tuple(edges))
+
+
 class TestMaxcutBrute:
     def test_single_edge(self):
         assert maxcut_brute(Graph(2, ((0, 1),)))[0] == 1
@@ -75,10 +84,27 @@ class TestMaxcutBrute:
             for bits in itertools.product((0, 1), repeat=5)
         )
         assert value == best == 4
-        assert cut_value(g, witness) == 4
+        assert cut_values(g)[witness] == 4
 
     def test_empty_graph(self):
         assert maxcut_brute(Graph(4, ()))[0] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs())
+    def test_cut_values_match_enumeration(self, g):
+        # node 0 is the most significant bit of an outcome index
+        want = [
+            sum(1 for a, b in g.edges if bits[a] != bits[b])
+            for bits in itertools.product((0, 1), repeat=g.n_nodes)
+        ]
+        assert cut_values(g).tolist() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs())
+    def test_brute_witness_has_node_0_on_side_0(self, g):
+        value, witness = maxcut_brute(g)
+        assert witness >> (g.n_nodes - 1) == 0
+        assert value == cut_values(g).max() == cut_values(g)[witness]
 
 
 def _synthesized_ansatz(graph, gammas, betas, qubit_map=None, n_qubits=None,
@@ -121,7 +147,7 @@ class TestAnsatz:
     def test_zero_angles_give_random_expectation(self):
         g = gen_erdos_renyi(4, 0.5, seed=3)
         probs = run_ideal(maxcut_ansatz(g, 1).bind(ansatz_angles([0.0], [0.0])))
-        expected = sum(p * cut_value(g, i) for i, p in enumerate(probs))
+        expected = probs @ cut_values(g)
         assert expected == pytest.approx(g.n_edges / 2, abs=1e-9)
 
     def test_respects_connectivity(self):

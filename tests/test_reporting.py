@@ -103,10 +103,14 @@ class TestEmitReport:
         assert summary["system"]["quantum_volume"] is None
         assert summary["application"]["qscore"] is None
 
-    def test_unknown_run_id_rejected(self, tmp_path):
+    def test_zero_crosstalk_is_reported(self, tmp_path):
+        # a measured 0.0 is a value, not a missing one: calibrate's must not replace it
         store = RunStore(str(tmp_path / "run"))
-        with pytest.raises(KeyError):
-            emit_report(store, run_metrics=["qv"])
+        for metric, name, value in (("calibrate", "crosstalk_max_row_l1", 0.25),
+                                    ("crosstalk", "max_row_l1", 0.0)):
+            store.append(MetricReport(metric=metric, config={}, backend={"n_qubits": 2},
+                                      scalars={name: scalar(value, "l1_distance")}, seed=0))
+        assert emit_report(store)["component"]["crosstalk_max_row_l1"] == 0.0
 
     def test_summary_written(self, tmp_path):
         store = RunStore(str(tmp_path / "run"))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_su2
@@ -25,6 +25,15 @@ from qbench.simulator import (
 )
 
 VEC_I = np.array([1.0, 0.0, 0.0, 1.0])  # vec(I) in the 2*ket + bra index
+
+
+@st.composite
+def shot_tables(draw):
+    """Valid tables on 1-6 qubits: distinct bitstring keys, zero counts included."""
+    n = draw(st.integers(1, 6))
+    keys = draw(st.lists(st.integers(0, 2**n - 1), unique=True, max_size=12))
+    counts = {format(k, f"0{n}b"): draw(st.integers(0, 10**6)) for k in keys}
+    return ShotTable(counts=counts, shots=sum(counts.values()), n_qubits=n)
 
 
 def assert_cptp(s: np.ndarray) -> None:
@@ -259,4 +268,25 @@ class TestShotTable:
     def test_fraction_and_marginal(self):
         t = ShotTable(counts={"10": 30, "01": 70}, shots=100, n_qubits=2)
         assert t.fraction_ones(0) == pytest.approx(0.3)
-        assert t.marginal((1,)) == {"0": 30, "1": 70}
+        marg = t.marginal((1,))
+        assert marg.dtype == np.int64 and marg.tolist() == [30, 70]
+        assert t.marginal((1, 0)).tolist() == [0, 30, 70, 0]  # first position is the MSB
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_marginal_matches_string_slicing(self, data):
+        table = data.draw(shot_tables())
+        n = table.n_qubits
+        positions = tuple(data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
+        # slow oracle: slice each key at the positions and parse the result
+        want = [0] * 2 ** len(positions)
+        for bits, c in table.counts.items():
+            want[int("0" + "".join(bits[p] for p in positions), 2)] += c  # "0" parses an empty slice
+        assert table.marginal(positions).tolist() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(shot_tables())
+    def test_frequencies_are_the_full_marginal(self, table):
+        assume(table.shots > 0)
+        want = table.marginal(range(table.n_qubits)) / table.shots
+        assert np.array_equal(table.frequencies(), want)

@@ -118,11 +118,11 @@ def _embed(u: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
 
 class TestHeavySet:
     def test_uniform_is_empty(self):
-        assert heavy_set(np.full(8, 1 / 8)) == set()
+        assert heavy_set(np.full(8, 1 / 8)).tolist() == []
 
     def test_simple_distribution(self):
-        hs = heavy_set(np.array([0.4, 0.3, 0.2, 0.1]))
-        assert hs == {0, 1}
+        hs = heavy_set(np.array([0.1, 0.3, 0.2, 0.4]))
+        assert hs.tolist() == [1, 3]
 
     def test_mass_at_least_half(self):
         for seed in range(50):
