@@ -22,7 +22,7 @@ import abc
 
 import numpy as np
 
-from .circuits import GATE_KINDS, Circuit, TimingModel
+from .circuits import GATE_KINDS, Circuit, TimingModel, unconnected_cz
 from .device import DeviceModel
 from .simulator import ShotTable, run_noisy
 
@@ -83,12 +83,11 @@ class Backend(abc.ABC):
                 raise CapabilityError(
                     f"circuit {c.label!r} needs {c.n_qubits} qubits, backend has {self.n_qubits}"
                 )
-            if edges is not None:
-                for g in c.ops:
-                    if g.kind == "CZ" and tuple(sorted(g.qubits)) not in edges:
-                        raise CapabilityError(
-                            f"circuit {c.label!r} has CZ on unconnected pair {g.qubits}"
-                        )
+            bad = unconnected_cz(c.ops, edges)
+            if bad is not None:
+                raise CapabilityError(
+                    f"circuit {c.label!r} has CZ on unconnected pair {bad.qubits}"
+                )
 
     def _qubit_quality(self, qubit: int) -> float:
         """Tie-break between equally connected qubits; higher is better."""

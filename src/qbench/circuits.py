@@ -147,16 +147,15 @@ class Circuit:
     def layers(self) -> list[list[Gate]]:
         """Greedy in-order layering; MEASURE_ALL occupies every qubit."""
         out: list[list[Gate]] = []
-        used: set[int] = set()
-        everything = frozenset(range(self.n_qubits))
+        used: set[int] = set()  # qubits occupied in the open layer
         for g in self.ops:
-            qs = set(g.qubits) if g.kind != "MEASURE_ALL" else set(everything)
-            if not out or used & qs:
+            qs = g.qubits if g.kind != "MEASURE_ALL" else range(self.n_qubits)
+            if not out or not used.isdisjoint(qs):
                 out.append([g])
                 used = set(qs)
             else:
                 out[-1].append(g)
-                used |= qs
+                used.update(qs)
         return out
 
     def duration_ns(self, timing: TimingModel) -> float:
@@ -173,6 +172,21 @@ class Circuit:
 
     def count(self, kind: str) -> int:
         return sum(1 for g in self.ops if g.kind == kind)
+
+
+def unconnected_cz(ops: tuple[Gate, ...],
+                   edges: frozenset[tuple[int, int]] | None) -> Gate | None:
+    """The first CZ in ``ops`` on a pair outside ``edges``, or None.
+
+    ``edges`` holds canonical (low, high) pairs; None means all-to-all, so
+    nothing is scanned.
+    """
+    if edges is None:
+        return None
+    for g in ops:
+        if g.kind == "CZ" and (min(g.qubits), max(g.qubits)) not in edges:
+            return g
+    return None
 
 
 def remap(circuit: Circuit, mapping: dict[int, int] | list[int], n_qubits: int,

@@ -44,6 +44,18 @@ EXIT_METRIC_INVALID = 1
 EXIT_USAGE = 2
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _shots(args: argparse.Namespace, default: int) -> int:
+    return default if args.shots is None else args.shots
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qbench", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qbench {__version__}")
@@ -52,12 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--backend", choices=("sim", "remote"), default="sim")
     common.add_argument("--device", default="starmon5",
                         help="device model JSON path, or built-in 'starmon5' / 'ideal'")
-    common.add_argument("--ideal-width", type=int, default=5,
+    common.add_argument("--ideal-width", type=positive_int, default=5,
                         help="qubit count for the built-in ideal device")
     common.add_argument("--remote-url", default="http://127.0.0.1:8000")
     common.add_argument("--remote-qubits", type=int, default=5)
     common.add_argument("--seed", type=int, default=1234)
-    common.add_argument("--shots", type=int, default=None)
+    common.add_argument("--shots", type=positive_int, default=None)
     common.add_argument("--out", default="qbench-runs")
     common.add_argument("--time-limit", type=float, default=60.0)
 
@@ -71,18 +83,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh.add_argument("kind", choices=("t1", "t2star", "t2hahn"))
     p_coh.add_argument("--qubit", type=int, default=None)
     p_qv = sub.add_parser("qv", parents=[common])
-    p_qv.add_argument("--max-width", type=int, default=None)
-    p_qv.add_argument("--circuits", type=int, default=100)
+    p_qv.add_argument("--max-width", type=positive_int, default=None)
+    p_qv.add_argument("--circuits", type=positive_int, default=100)
     p_clops = sub.add_parser("clops", parents=[common])
-    p_clops.add_argument("--qv", type=int, default=4, help="measured quantum volume")
-    p_clops.add_argument("--templates", type=int, default=100)
-    p_clops.add_argument("--updates", type=int, default=10)
+    p_clops.add_argument("--qv", type=positive_int, default=4, help="measured quantum volume")
+    p_clops.add_argument("--templates", type=positive_int, default=100)
+    p_clops.add_argument("--updates", type=positive_int, default=10)
     p_stab = sub.add_parser("stability", parents=[common])
-    p_stab.add_argument("--repeats", type=int, default=5)
+    p_stab.add_argument("--repeats", type=positive_int, default=5)
     p_stab.add_argument("--interval", type=float, default=3600.0)
     sub.add_parser("qscore", parents=[common])
     p_app = sub.add_parser("appsuite", parents=[common])
-    p_app.add_argument("--max-width", type=int, default=5)
+    p_app.add_argument("--max-width", type=positive_int, default=5)
     sub.add_parser("report", parents=[common])
     return parser
 
@@ -124,7 +136,7 @@ def _qubits(args: argparse.Namespace, backend: Backend) -> list[int]:
 
 def cmd_rb(args, backend, store) -> int:
     rep = _base_report(args, "rb", backend)
-    cfg = RBConfig(shots=args.shots or 4096, seed=args.seed)
+    cfg = RBConfig(shots=_shots(args, 4096), seed=args.seed)
     invalid = False
     for q in _qubits(args, backend):
         res = run_rb(backend, cfg, q)
@@ -141,7 +153,7 @@ def cmd_rb(args, backend, store) -> int:
 
 def cmd_readout(args, backend, store) -> int:
     rep = _base_report(args, "readout", backend)
-    res = measure_readout(backend, shots=args.shots or 4096, seed=args.seed)
+    res = measure_readout(backend, shots=_shots(args, 4096), seed=args.seed)
     for q in range(backend.n_qubits):
         rep.scalars[f"fro_q{q}"] = scalar(res.fidelity(q) * 100, "percent")
         print(f"readout q{q}: F_RO = {res.fidelity(q) * 100:.2f}%")
@@ -151,7 +163,7 @@ def cmd_readout(args, backend, store) -> int:
 
 def cmd_crosstalk(args, backend, store) -> int:
     rep = _base_report(args, "crosstalk", backend)
-    res = measure_crosstalk(backend, shots=args.shots or 16384, seed=args.seed)
+    res = measure_crosstalk(backend, shots=_shots(args, 16384), seed=args.seed)
     rep.scalars["max_row_l1"] = scalar(res.max_row_l1, "l1_distance")
     rep.scalars["max_row_offdiag"] = scalar(res.max_row_offdiag, "probability")
     rep.raw_refs.append(
@@ -170,7 +182,7 @@ def cmd_coherence(args, backend, store) -> int:
     }[args.kind]
     fn, max_wait, name = runner
     rep = _base_report(args, f"coherence_{name}", backend)
-    cfg = CoherenceConfig(max_wait_us=max_wait, shots=args.shots or 4096, seed=args.seed)
+    cfg = CoherenceConfig(max_wait_us=max_wait, shots=_shots(args, 4096), seed=args.seed)
     invalid = False
     for q in _qubits(args, backend):
         res = fn(backend, q, cfg)
@@ -185,7 +197,7 @@ def cmd_coherence(args, backend, store) -> int:
 
 def cmd_calibrate(args, backend, store) -> int:
     rep = _base_report(args, "calibrate", backend)
-    summary = run_calibration(backend, seed=args.seed, shots=args.shots or 4096)
+    summary = run_calibration(backend, seed=args.seed, shots=_shots(args, 4096))
     invalid = False
     for q in range(backend.n_qubits):
         rep.scalars[f"f1q_q{q}"] = scalar(summary.rb[q].f1q * 100, "percent")
@@ -220,7 +232,7 @@ def cmd_qv(args, backend, store) -> int:
     rep = _base_report(args, "qv", backend)
     cfg = QVConfig(
         n_circuits=args.circuits,
-        shots=args.shots or 100,
+        shots=_shots(args, 100),
         max_width=args.max_width,
         seed=args.seed,
     )
@@ -243,7 +255,7 @@ def cmd_clops(args, backend, store) -> int:
     cfg = CLOPSConfig(
         m_templates=args.templates,
         k_updates=args.updates,
-        shots=args.shots or 100,
+        shots=_shots(args, 100),
     )
     res = run_clops(backend, cfg, measured_qv=args.qv, seed=args.seed)
     rep.scalars["clops"] = scalar(res.clops, "layer_ops_per_second")
@@ -262,7 +274,7 @@ def cmd_stability(args, backend, store) -> int:
     rep = _base_report(args, "stability", backend)
     res = run_stability(backend, repeats=args.repeats, interval_s=args.interval,
                         cfg=CoherenceConfig(max_wait_us=T2STAR_MAX_WAIT_US,
-                                            shots=args.shots or 4096, seed=args.seed))
+                                            shots=_shots(args, 4096), seed=args.seed))
     finite = [v for v in res.relative_std if np.isfinite(v)]
     rep.scalars["max_rel_std"] = scalar(max(finite) if finite else float("nan"), "fraction")
     for q, rs in enumerate(res.relative_std):
@@ -275,7 +287,7 @@ def cmd_stability(args, backend, store) -> int:
 
 def cmd_qscore(args, backend, store) -> int:
     rep = _base_report(args, "qscore", backend)
-    cfg = QScoreConfig(time_limit_s=args.time_limit, shots=args.shots or 1024)
+    cfg = QScoreConfig(time_limit_s=args.time_limit, shots=_shots(args, 1024))
     res = run_qscore(backend, cfg, seed=args.seed)
     rep.scalars["qscore"] = scalar(res.qscore, "graph_size")
     for r in res.per_size:
@@ -297,7 +309,7 @@ def cmd_qscore(args, backend, store) -> int:
 def cmd_appsuite(args, backend, store) -> int:
     rep = _base_report(args, "appsuite", backend)
     widths = tuple(range(2, args.max_width + 1))
-    cells = run_app_suite(backend, widths=widths, shots=args.shots or 1024, seed=args.seed)
+    cells = run_app_suite(backend, widths=widths, shots=_shots(args, 1024), seed=args.seed)
     for c in cells:
         if c.skipped_reason:
             rep.flags.append(f"{c.algorithm}_w{c.width}_skipped")

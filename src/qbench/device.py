@@ -102,9 +102,6 @@ class DeviceModel:
     def edge_set(self) -> frozenset[tuple[int, int]] | None:
         return self._edge_set
 
-    def is_connected(self, a: int, b: int) -> bool:
-        return self._edge_set is None or (min(a, b), max(a, b)) in self._edge_set
-
     def with_coherence_scale(self, t1_mult: float, t2_mults: list[float]) -> "DeviceModel":
         """Scaled copy; T2 is clipped to the 2*T1 physical bound."""
         qs = []

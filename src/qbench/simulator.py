@@ -18,10 +18,14 @@ each qubit) runs for the duration of every scheduling layer on every qubit.
 In both modes each qubit's single-qubit maps between two CZs multiply into
 one pending d x d map (d = 2 or 4), applied with one matrix product before
 the qubit's next CZ and at the end; a CZ is a constant sign mask on two
-axes.  A scheduling layer holds at most one gate per qubit, so on the
-density path a qubit's pulse and the idle decay of the layer it sits in
-join the pending map as one fused 4x4 map, idle @ (depolarizing @ pulse),
-built once per call for each (pulse kind, qubit, layer duration).
+axes.  On the pure path a pending map is a row-major tuple of four Python
+complex scalars, multiplied out by hand and turned into an array only when
+applied, so pure-path probabilities match those of numpy 2x2 products to
+rounding only (a few ulp).  A scheduling layer holds at most one gate per
+qubit, so on the density path a qubit's pulse and the idle decay of the
+layer it sits in join the pending map as one fused 4x4 map,
+idle @ (depolarizing @ pulse), built once per call for each (pulse kind,
+qubit, layer duration).
 
 Sampled bits then pass through per-qubit readout confusion with an
 optional correlated flip term.  The draws from the generator are part of
@@ -52,13 +56,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, unconnected_cz
 from .cliffords import X90_MAT, X_MAT, Y90_MAT
 from .device import DeviceModel
 
 IDEAL_QUBIT_CAP = 12
 
 _GATE_1Q = {"X": X_MAT, "X90": X90_MAT, "Y90": Y90_MAT}
+_BITS = frozenset("01")
 
 
 def index_to_bitstring(index: int, n: int) -> str:
@@ -78,9 +83,10 @@ class ShotTable:
     def __post_init__(self) -> None:
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts must sum to the shot total")
-        for b in self.counts:
-            if len(b) != self.n_qubits or set(b) - {"0", "1"}:
-                raise ValueError(f"bad bitstring key {b!r}")
+        # two set operations over all keys; a bad key is named only on failure
+        if set(map(len, self.counts)) - {self.n_qubits} or set("".join(self.counts)) - _BITS:
+            bad = next(b for b in self.counts if len(b) != self.n_qubits or set(b) - _BITS)
+            raise ValueError(f"bad bitstring key {bad!r}")
 
     def fraction_ones(self, qubit: int) -> float:
         hits = sum(c for b, c in self.counts.items() if b[qubit] == "1")
@@ -112,6 +118,7 @@ class ShotTable:
 
 _VEC_I = np.array([1.0, 0.0, 0.0, 1.0])
 _IDENTITY_4 = np.eye(4, dtype=complex)
+_IDENTITY_2 = (1 + 0j, 0j, 0j, 1 + 0j)  # a pure-path pending map, row-major
 _PULSE_SUPEROPS = {kind: np.kron(u, u.conj()) for kind, u in _GATE_1Q.items()}
 
 
@@ -186,42 +193,73 @@ def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> 
     duration.  Each qubit keeps one pending d x d map of its single-qubit
     maps since its last CZ (RZ frames as row scalings), flushed before its
     next CZ and at the end; maps on different qubits commute, so the fusion
-    is exact.  A layer holds at most one gate per qubit, so on the density
-    path a qubit's pulse and the idle decay of its layer are pushed as one
-    map, cached per (pulse kind or None, axis, layer duration).
+    is exact.  On the pure path a pending map is a tuple (a, b, c, d) of
+    Python complex scalars, the row-major 2x2 matrix, multiplied out by
+    hand: numpy calls on 2x2 arrays cost more than the arithmetic, and the
+    scalar products agree with numpy's to rounding only.  On the density
+    path pending maps are 4x4 arrays, and a layer holds at most one gate
+    per qubit, so a qubit's pulse and the idle decay of its layer are
+    pushed as one map, cached per (pulse kind or None, axis, layer
+    duration).
     """
     k = len(qubits)
     pos = {q: i for i, q in enumerate(qubits)}
+    pending: list = [None] * k
     if device is None:
-        d, rz_rate, rz_rows = 2, -0.5j, (0, 1)
-        pulses = {kind: [u] * k for kind, u in _GATE_1Q.items()}
+        d = 2
+        pulses = {kind: [tuple(u.reshape(-1).tolist())] * k for kind, u in _GATE_1Q.items()}
         layers = [circuit.body()]
+
+        def push(i: int, m: tuple) -> None:
+            p = pending[i]
+            if p is None:
+                pending[i] = m
+            else:
+                m0, m1, m2, m3 = m
+                p0, p1, p2, p3 = p
+                pending[i] = (m0 * p0 + m1 * p2, m0 * p1 + m1 * p3,
+                              m2 * p0 + m3 * p2, m2 * p1 + m3 * p3)
+
+        def rz(i: int, angle: float) -> None:
+            phase = cmath.exp(-0.5j * angle)
+            conj = phase.conjugate()
+            p0, p1, p2, p3 = _IDENTITY_2 if pending[i] is None else pending[i]
+            pending[i] = (p0 * phase, p1 * phase, p2 * conj, p3 * conj)
     else:
-        d, rz_rate, rz_rows = 4, -1j, (1, 2)
+        d = 4
         deps = [depolarizing_superop(device.p1[q]) for q in qubits]
         pulses = {kind: [dep @ s for dep in deps] for kind, s in _PULSE_SUPEROPS.items()}
         layers = circuit.layers()[:-1] if circuit.has_measurement else circuit.layers()
         fused: dict[tuple[str | None, int, float], np.ndarray | None] = {}
-    identity = np.eye(d, dtype=complex)
+        timing = device.timing  # per-kind durations; WAIT carries its own
+        durations = dict.fromkeys(pulses, timing.single_qubit_gate_ns)
+        durations.update(CZ=timing.two_qubit_gate_ns, RZ=timing.rz_ns)
+
+        def push(i: int, m: np.ndarray) -> None:
+            pending[i] = m if pending[i] is None else m @ pending[i]
+
+        def rz(i: int, angle: float) -> None:
+            phase = cmath.exp(-1j * angle)
+            m = (_IDENTITY_4 if pending[i] is None else pending[i]).copy()
+            m[1] *= phase
+            m[2] *= phase.conjugate()
+            pending[i] = m
+
+        def fuse(kind: str | None, i: int, duration: float) -> np.ndarray | None:
+            qp = device.qubits[qubits[i]]
+            idle = idle_superop(qp.t1_us, qp.t2_us, duration)
+            if kind is None:
+                return idle
+            return pulses[kind][i] if idle is None else idle @ pulses[kind][i]
     state = np.zeros((d,) * k, dtype=complex)
     state[(0,) * k] = 1.0
-    pending: list[np.ndarray | None] = [None] * k
-
-    def push(i: int, m: np.ndarray) -> None:
-        pending[i] = m if pending[i] is None else m @ pending[i]
 
     def flush(i: int) -> None:
         nonlocal state
         if pending[i] is not None:
-            state = (pending[i] @ state.reshape(d**i, d, -1)).reshape(state.shape)
+            m = np.asarray(pending[i]).reshape(d, d)  # a pure-path tuple becomes a 2x2 array
+            state = (m @ state.reshape(d**i, d, -1)).reshape(state.shape)
             pending[i] = None
-
-    def fuse(kind: str | None, i: int, duration: float) -> np.ndarray | None:
-        qp = device.qubits[qubits[i]]
-        idle = idle_superop(qp.t1_us, qp.t2_us, duration)
-        if kind is None:
-            return idle
-        return pulses[kind][i] if idle is None else idle @ pulses[kind][i]
 
     for layer in layers:
         duration = 0.0
@@ -234,12 +272,7 @@ def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> 
                 else:
                     pulsed[i] = g.kind
             elif g.kind == "RZ":
-                i = pos[g.qubits[0]]
-                phase = cmath.exp(rz_rate * g.angle_rad)
-                m = (identity if pending[i] is None else pending[i]).copy()
-                m[rz_rows[0]] *= phase
-                m[rz_rows[1]] *= phase.conjugate()
-                pending[i] = m
+                rz(pos[g.qubits[0]], g.angle_rad)
             elif g.kind == "CZ":
                 a, b = pos[g.qubits[0]], pos[g.qubits[1]]
                 flush(a)
@@ -248,7 +281,8 @@ def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> 
                 if device is not None and device.p2 > 0:
                     state = _depolarize_2q(state, device.p2, a, b)
             if device is not None:
-                duration = max(duration, device.timing.gate_duration_ns(g))
+                g_ns = float(g.duration_ns) if g.kind == "WAIT" else durations[g.kind]
+                duration = max(duration, g_ns)
         if device is None or (duration <= 0 and not pulsed):
             continue
         for i in range(k):
@@ -339,9 +373,9 @@ def run_noisy(
         raise ValueError(
             f"circuit needs {n} qubits but the device has {device.n_qubits}"
         )
-    for g in circuit.ops:
-        if g.kind == "CZ" and not device.is_connected(*g.qubits):
-            raise ValueError(f"CZ on unconnected pair {g.qubits}")
+    bad = unconnected_cz(circuit.ops, device.edge_set())
+    if bad is not None:
+        raise ValueError(f"CZ on unconnected pair {bad.qubits}")
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     bits = np.zeros((n, shots), dtype=bool)  # row q holds qubit q's bit per shot
@@ -368,7 +402,6 @@ def run_noisy(
 
     weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
     values, counts = np.unique(weights @ bits, return_counts=True)
-    table = {
-        index_to_bitstring(int(v), n): int(c) for v, c in zip(values, counts)
-    }
+    key = f"0{n}b"
+    table = {format(v, key): c for v, c in zip(values.tolist(), counts.tolist())}
     return ShotTable(counts=table, shots=shots, n_qubits=n)

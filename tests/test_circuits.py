@@ -18,6 +18,7 @@ from qbench.circuits import (
     parameterize_rz,
     remap,
     rz,
+    unconnected_cz,
     wait,
     x,
     x90,
@@ -97,6 +98,27 @@ class TestLayers:
         c = Circuit(1, (x90(0), rz(0, 1.0), x90(0)))
         assert c.depth() == 2
 
+    @staticmethod
+    def _two_set_layers(circuit: Circuit) -> list[list[Gate]]:
+        """The earlier layering, two sets per gate: the reference."""
+        out: list[list[Gate]] = []
+        used: set[int] = set()
+        everything = frozenset(range(circuit.n_qubits))
+        for g in circuit.ops:
+            qs = set(g.qubits) if g.kind != "MEASURE_ALL" else set(everything)
+            if not out or used & qs:
+                out.append([g])
+                used = set(qs)
+            else:
+                out[-1].append(g)
+                used |= qs
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(native_circuits(max_qubits=5))
+    def test_layers_match_two_set_reference(self, circuit):
+        assert circuit.layers() == self._two_set_layers(circuit)
+
 
 class TestParamCircuit:
     def test_bind_round_trip(self):
@@ -149,3 +171,22 @@ def test_normalize_angle():
     assert normalize_angle(3 * math.pi) == pytest.approx(math.pi)
     assert normalize_angle(-math.pi) == pytest.approx(math.pi)
     assert normalize_angle(0.25) == pytest.approx(0.25)
+
+
+class TestUnconnectedCZ:
+    STAR = frozenset({(0, 2), (1, 2), (2, 3), (2, 4)})
+
+    def test_first_offending_cz(self):
+        ops = (x90(0), cz(0, 2), cz(0, 1), cz(3, 4))
+        assert unconnected_cz(ops, self.STAR) == cz(0, 1)
+
+    def test_pair_order_does_not_matter(self):
+        assert unconnected_cz((Gate("CZ", (2, 0)),), self.STAR) is None
+        assert unconnected_cz((Gate("CZ", (1, 0)),), self.STAR) == Gate("CZ", (1, 0))
+
+    def test_all_to_all_scans_nothing(self):
+        class Unreadable:
+            def __iter__(self):
+                raise AssertionError("ops were scanned")
+
+        assert unconnected_cz(Unreadable(), None) is None

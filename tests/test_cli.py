@@ -4,8 +4,10 @@ import json
 import pytest
 
 from helpers import scalar_section_json
+from qbench import cli
 from qbench.backends import LocalSimBackend
 from qbench.cli import EXIT_METRIC_INVALID, EXIT_OK, EXIT_USAGE, cli_main
+from qbench.component import measure_readout
 from qbench.device import ideal_device, save_device, starmon5_reference_model
 from qbench.remote import MockServer
 from qbench.reporting import RunStore
@@ -96,6 +98,44 @@ class TestExitCodes:
         fit_flags = [f for f in rec.flags if f != "crosstalk_skipped"]
         assert all(f.endswith("_invalid") for f in fit_flags)
         assert code == (EXIT_METRIC_INVALID if fit_flags else EXIT_OK)
+
+
+class TestCountArguments:
+    """Counts must be positive integers; anything else is a usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["readout", "--shots", "0"],
+        ["readout", "--shots", "-5"],
+        ["qv", "--circuits", "0"],
+        ["qv", "--max-width", "0"],
+        ["clops", "--templates", "0"],
+        ["clops", "--updates", "-1"],
+        ["clops", "--qv", "0"],
+        ["stability", "--repeats", "0"],
+        ["appsuite", "--max-width", "-2"],
+        ["qscore", "--ideal-width", "0"],
+        ["rb", "--shots", "many"],
+    ])
+    def test_non_positive_count_is_usage_error(self, tmp_path, capsys, argv):
+        assert cli_main([*argv, "--device", "ideal", "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+        assert RunStore(str(tmp_path)).records() == []
+
+    @pytest.mark.parametrize("given, used", [(None, 4096), ("1", 1), ("3", 3)])
+    def test_readout_shots(self, tmp_path, monkeypatch, given, used):
+        seen = []
+
+        def spy(backend, shots, seed):
+            seen.append(shots)
+            return measure_readout(backend, shots=shots, seed=seed)
+
+        monkeypatch.setattr(cli, "measure_readout", spy)
+        extra = [] if given is None else ["--shots", given]
+        assert cli_main(["readout", "--device", "ideal", "--ideal-width", "2", *extra,
+                         "--out", str(tmp_path)]) == EXIT_OK
+        assert seen == [used]
+        (rec,) = RunStore(str(tmp_path)).records()
+        assert rec.config["shots"] == (None if given is None else used)
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qbench.circuits import Gate, cz, unconnected_cz
 from qbench.device import (
     DeviceModel,
     DriftSchedule,
@@ -37,8 +38,7 @@ class TestReferenceModel:
     def test_star_connectivity(self):
         dev = starmon5_reference_model()
         assert dev.edge_set() == frozenset({(0, 2), (1, 2), (2, 3), (2, 4)})
-        assert dev.is_connected(2, 4)
-        assert not dev.is_connected(0, 1)
+        assert unconnected_cz((cz(2, 4), cz(0, 1)), dev.edge_set()) == cz(0, 1)
 
     def test_timing_defaults(self):
         t = starmon5_reference_model().timing
@@ -145,4 +145,5 @@ class TestConnectivity:
                     if a == b:
                         continue
                     want = edges is None or (min(a, b), max(a, b)) in edges
-                    assert d.is_connected(a, b) == d.is_connected(b, a) == want
+                    gate = Gate("CZ", (a, b))  # either orientation, not only cz()'s
+                    assert (unconnected_cz((gate,), d.edge_set()) is None) == want

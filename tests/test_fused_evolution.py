@@ -11,6 +11,7 @@ import density_oracle
 import state_oracle
 from helpers import native_circuits
 from qbench.application import (
+    Graph,
     ansatz_angles,
     bv_circuit,
     dj_circuit,
@@ -179,6 +180,29 @@ def test_noiseless_run_noisy_matches_density_oracle(circuit):
     assert active == oracle_active
     if oracle is not None:
         assert np.abs(probs - oracle.probs()).max() <= TOL
+
+
+@st.composite
+def maxcut_circuits(draw) -> Circuit:
+    """A bound Max-Cut ansatz on 2-5 nodes, random edges and angles, on 5 qubits."""
+    n = draw(st.integers(2, 5))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    template = maxcut_ansatz(Graph(n, tuple(edges)), 1, n_qubits=5)
+    angles = draw(st.lists(st.floats(-2 * math.pi, 2 * math.pi),
+                           min_size=template.n_params, max_size=template.n_params))
+    return template.bind(angles)
+
+
+@settings(max_examples=100, deadline=None)
+@given(maxcut_circuits())
+def test_maxcut_outcomes_match_gate_by_gate(circuit):
+    active, probs = _outcome_probs(circuit, ideal_device(5))
+    psi = state_oracle.evolve(circuit)
+    # qubits the ansatz leaves alone stay in |0>
+    idle = tuple(q for q in range(5) if q not in active)
+    want = (np.abs(psi) ** 2)[tuple(0 if q in idle else slice(None) for q in range(5))]
+    assert np.abs(probs - want.reshape(-1)).max() <= TOL
 
 
 def _one_qubit_noisy(**change) -> DeviceModel:

@@ -265,6 +265,24 @@ class TestShotTable:
         with pytest.raises(ValueError):
             ShotTable(counts={"0": 3}, shots=4, n_qubits=1)
 
+    @pytest.mark.parametrize("key", ["0", "101", ""])
+    def test_wrong_length_key_rejected(self, key):
+        with pytest.raises(ValueError, match=f"bad bitstring key {key!r}"):
+            ShotTable(counts={"00": 1, key: 1}, shots=2, n_qubits=2)
+
+    @pytest.mark.parametrize("key", ["0a", "12", " 1"])
+    def test_non_binary_key_rejected(self, key):
+        with pytest.raises(ValueError, match=f"bad bitstring key {key!r}"):
+            ShotTable(counts={"01": 1, key: 1}, shots=2, n_qubits=2)
+
+    def test_first_bad_key_is_named(self):
+        with pytest.raises(ValueError, match="bad bitstring key '2'"):
+            ShotTable(counts={"0": 1, "2": 1, "10": 1}, shots=3, n_qubits=1)
+
+    def test_zero_shots_empty_counts(self):
+        t = ShotTable(counts={}, shots=0, n_qubits=3)
+        assert t.marginal((0, 2)).tolist() == [0, 0, 0, 0]
+
     def test_fraction_and_marginal(self):
         t = ShotTable(counts={"10": 30, "01": 70}, shots=100, n_qubits=2)
         assert t.fraction_ones(0) == pytest.approx(0.3)
