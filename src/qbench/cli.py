@@ -37,7 +37,14 @@ from .component import (
 from .device import ideal_device, load_device, starmon5_reference_model
 from .remote import RemoteBackend
 from .reporting import MetricReport, RunStore, emit_report, scalar, write_summary, write_volumetric_csv
-from .system import CLOPSConfig, QVConfig, run_clops, run_quantum_volume, run_stability
+from .system import (
+    STABILITY_MIN_REPEATS,
+    CLOPSConfig,
+    QVConfig,
+    run_clops,
+    run_quantum_volume,
+    run_stability,
+)
 
 EXIT_OK = 0
 EXIT_METRIC_INVALID = 1
@@ -49,6 +56,15 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def stability_repeats(text: str) -> int:
+    """argparse type for ``--repeats``: a relative spread needs three points."""
+    value = int(text)
+    if value < STABILITY_MIN_REPEATS:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {STABILITY_MIN_REPEATS}, got {value}")
     return value
 
 
@@ -67,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--ideal-width", type=positive_int, default=5,
                         help="qubit count for the built-in ideal device")
     common.add_argument("--remote-url", default="http://127.0.0.1:8000")
-    common.add_argument("--remote-qubits", type=int, default=5)
+    common.add_argument("--remote-qubits", type=positive_int, default=5)
     common.add_argument("--seed", type=int, default=1234)
     common.add_argument("--shots", type=positive_int, default=None)
     common.add_argument("--out", default="qbench-runs")
@@ -90,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_clops.add_argument("--templates", type=positive_int, default=100)
     p_clops.add_argument("--updates", type=positive_int, default=10)
     p_stab = sub.add_parser("stability", parents=[common])
-    p_stab.add_argument("--repeats", type=positive_int, default=5)
+    p_stab.add_argument("--repeats", type=stability_repeats, default=5)
     p_stab.add_argument("--interval", type=float, default=3600.0)
     sub.add_parser("qscore", parents=[common])
     p_app = sub.add_parser("appsuite", parents=[common])
@@ -355,6 +371,11 @@ def cli_main(argv: list[str] | None = None) -> int:
         backend = make_backend(args) if args.command != "report" else None
     except (ValueError, KeyError, TypeError, OSError) as err:
         print(f"error: bad --device: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    qubit = getattr(args, "qubit", None)
+    if qubit is not None and not 0 <= qubit < backend.n_qubits:
+        print(f"error: --qubit {qubit} out of range for {backend.n_qubits} qubits",
+              file=sys.stderr)
         return EXIT_USAGE
     try:
         store = _store(args)

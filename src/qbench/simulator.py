@@ -15,25 +15,31 @@ channel, every CZ is followed by two-qubit depolarizing noise, and idle
 decay (amplitude damping to the T1 and extra pure dephasing to the T2 of
 each qubit) runs for the duration of every scheduling layer on every qubit.
 
-In both modes each qubit's single-qubit maps between two CZs multiply into
-one pending d x d map (d = 2 or 4), applied with one matrix product before
-the qubit's next CZ and at the end; a CZ is a constant sign mask on two
-axes.  On the pure path a pending map is a row-major tuple of four Python
-complex scalars, multiplied out by hand and turned into an array only when
-applied, so pure-path probabilities match those of numpy 2x2 products to
-rounding only (a few ulp).  A scheduling layer holds at most one gate per
-qubit, so on the density path a qubit's pulse and the idle decay of the
-layer it sits in join the pending map as one fused 4x4 map,
-idle @ (depolarizing @ pulse), built once per call for each (pulse kind,
-qubit, layer duration).
+In both modes each qubit's single-qubit maps between two CZs are kept
+pending and applied as one d x d map (d = 2 or 4), with one matrix product
+before the qubit's next CZ and at the end; a CZ is a constant sign mask on
+two axes.  On the pure path the pending map is a row-major tuple of four
+Python complex scalars, multiplied out by hand and turned into an array
+only when applied, so pure-path probabilities match those of numpy 2x2
+products to rounding only (a few ulp).  On the density path it is a list of
+4x4 maps: a chain of up to eight is multiplied one map at a time, a longer
+one (randomized benchmarking's) pairwise in stacked batches, which agrees
+with the one-at-a-time product to rounding only.  An RZ there is a
+diagonal map built once per angle per call.  A scheduling layer holds at
+most one gate per qubit, so a qubit's pulse and the idle decay of the layer
+it sits in join the chain as one fused 4x4 map, idle @ (depolarizing @
+pulse), kept read-only in a bounded cache shared across circuits and keyed
+by (pulse kind, p1, T1, T2, layer duration).
 
 Sampled bits then pass through per-qubit readout confusion with an
 optional correlated flip term.  The draws from the generator are part of
-the determinism contract and come in this order: one ``choice`` of
-``shots`` outcomes over the active qubits (none when no qubit is active),
-then one (n, shots) block of uniforms whose row q decides qubit q's
-readout flips, then, with correlated readout on, one block of ``shots``
-uniforms per device edge inside the register, in edge order.
+the determinism contract and come in this order: ``shots`` outcomes over
+the active qubits (none when no qubit is active), drawn as
+``Generator.choice`` with ``p`` draws them, by the same inverse CDF over
+``shots`` uniforms; then one (n, shots) block of uniforms whose row q
+decides qubit q's readout flips, then, with correlated readout on, one
+block of ``shots`` uniforms per device edge inside the register, in edge
+order.
 
 Bit convention everywhere: qubit 0 is the leftmost character of a
 bitstring, i.e. the most significant bit of a basis index.  A
@@ -50,7 +56,9 @@ measurement-process errors.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -166,6 +174,9 @@ _CZ_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
 _CZ_MASK = {2: _CZ_SIGNS, 4: np.kron(_CZ_SIGNS, _CZ_SIGNS)}
 _TRACE_PAIR = np.outer(_VEC_I, _VEC_I)  # vec(I) on each of two axes
 _KET_BRA_SWAP = [0, 2, 1, 3]  # 2*ket + bra -> 2*bra + ket
+_SHORT_CHAIN = 8  # longest pending chain folded one product at a time
+_LAYER_MAP_CACHE = 1024  # (pulse kind, p1, T1, T2, layer duration) keys kept
+_SUM_TOLERANCE = math.sqrt(sys.float_info.epsilon)  # Generator.choice's, for float64
 
 
 def _on_axes(mask: np.ndarray, k: int, a: int, b: int) -> np.ndarray:
@@ -184,30 +195,69 @@ def _depolarize_2q(rho: np.ndarray, p: float, a: int, b: int) -> np.ndarray:
     return (1 - p) * rho + fill
 
 
+def _chain_product(chain: list[np.ndarray]) -> np.ndarray:
+    """The product of 4x4 maps applied in list order, chain[-1] @ ... @ chain[0].
+
+    A chain of up to ``_SHORT_CHAIN`` maps is folded one product at a time;
+    a longer one is stacked and multiplied pairwise in batches, halving
+    until one map is left, which costs a few numpy calls instead of one per
+    map and agrees with the fold to rounding only.
+    """
+    if len(chain) <= _SHORT_CHAIN:
+        m = chain[0]
+        for nxt in chain[1:]:
+            m = nxt @ m
+        return m
+    a = np.stack(chain)
+    while len(a) > 1:
+        pairs = a[1::2] @ a[: len(a) - 1 : 2]
+        a = np.concatenate((pairs, a[-1:])) if len(a) % 2 else pairs
+    return a[0]
+
+
+@functools.lru_cache(maxsize=_LAYER_MAP_CACHE)
+def _layer_map(kind: str | None, p1: float, t1_us: float, t2_us: float,
+               duration_ns: float) -> np.ndarray | None:
+    """One qubit's map for one scheduling layer: its pulse of ``kind`` (or
+    none), that pulse's depolarizing noise, then the idle decay over the
+    layer's duration, as idle @ (depolarizing @ pulse); None for the
+    identity.  Cached across circuits; the arrays are read-only."""
+    idle = idle_superop(t1_us, t2_us, duration_ns)
+    if kind is None:
+        m = idle
+    else:
+        pulse = depolarizing_superop(p1) @ _PULSE_SUPEROPS[kind]
+        m = pulse if idle is None else idle @ pulse
+    if m is not None:
+        m.flags.writeable = False
+    return m
+
+
 def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> np.ndarray:
     """State of ``qubits`` (in that order) after the circuit body.
 
     With no device, the pure state (local dimension d = 2) under the ideal
     gates.  With a device, the density matrix (d = 4) under the device's
     noise, with idle decay per scheduling layer; WAIT acts only through its
-    duration.  Each qubit keeps one pending d x d map of its single-qubit
-    maps since its last CZ (RZ frames as row scalings), flushed before its
-    next CZ and at the end; maps on different qubits commute, so the fusion
-    is exact.  On the pure path a pending map is a tuple (a, b, c, d) of
-    Python complex scalars, the row-major 2x2 matrix, multiplied out by
-    hand: numpy calls on 2x2 arrays cost more than the arithmetic, and the
-    scalar products agree with numpy's to rounding only.  On the density
-    path pending maps are 4x4 arrays, and a layer holds at most one gate
-    per qubit, so a qubit's pulse and the idle decay of its layer are
-    pushed as one map, cached per (pulse kind or None, axis, layer
-    duration).
+    duration.  Each qubit keeps its single-qubit maps since its last CZ
+    pending, flushed as one d x d map before its next CZ and at the end;
+    maps on different qubits commute, so the fusion is exact.  On the pure
+    path the pending map is one tuple (a, b, c, d) of Python complex
+    scalars, the row-major 2x2 product so far (RZ frames as row scalings),
+    multiplied out by hand: numpy calls on 2x2 arrays cost more than the
+    arithmetic, and the scalar products agree with numpy's to rounding only.
+    On the density path the pending maps are a list of 4x4 arrays,
+    multiplied by ``_chain_product`` at the flush: an RZ is a diagonal map
+    built once per angle per call, and a layer holds at most one gate per
+    qubit, so a qubit's pulse and the idle decay of its layer are one map
+    from the cross-circuit cache ``_layer_map``.
     """
     k = len(qubits)
     pos = {q: i for i, q in enumerate(qubits)}
     pending: list = [None] * k
     if device is None:
         d = 2
-        pulses = {kind: [tuple(u.reshape(-1).tolist())] * k for kind, u in _GATE_1Q.items()}
+        pulses = {kind: tuple(u.reshape(-1).tolist()) for kind, u in _GATE_1Q.items()}
         layers = [circuit.body()]
 
         def push(i: int, m: tuple) -> None:
@@ -225,39 +275,38 @@ def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> 
             conj = phase.conjugate()
             p0, p1, p2, p3 = _IDENTITY_2 if pending[i] is None else pending[i]
             pending[i] = (p0 * phase, p1 * phase, p2 * conj, p3 * conj)
+
+        def product(p: tuple) -> np.ndarray:
+            return np.asarray(p).reshape(2, 2)
     else:
         d = 4
-        deps = [depolarizing_superop(device.p1[q]) for q in qubits]
-        pulses = {kind: [dep @ s for dep in deps] for kind, s in _PULSE_SUPEROPS.items()}
         layers = circuit.layers()[:-1] if circuit.has_measurement else circuit.layers()
-        fused: dict[tuple[str | None, int, float], np.ndarray | None] = {}
+        noise = [(device.p1[q], device.qubits[q].t1_us, device.qubits[q].t2_us) for q in qubits]
+        rz_maps: dict[float, np.ndarray] = {}
         timing = device.timing  # per-kind durations; WAIT carries its own
-        durations = dict.fromkeys(pulses, timing.single_qubit_gate_ns)
+        durations = dict.fromkeys(_GATE_1Q, timing.single_qubit_gate_ns)
         durations.update(CZ=timing.two_qubit_gate_ns, RZ=timing.rz_ns)
+        product = _chain_product
 
         def push(i: int, m: np.ndarray) -> None:
-            pending[i] = m if pending[i] is None else m @ pending[i]
+            if pending[i] is None:
+                pending[i] = [m]
+            else:
+                pending[i].append(m)
 
         def rz(i: int, angle: float) -> None:
-            phase = cmath.exp(-1j * angle)
-            m = (_IDENTITY_4 if pending[i] is None else pending[i]).copy()
-            m[1] *= phase
-            m[2] *= phase.conjugate()
-            pending[i] = m
-
-        def fuse(kind: str | None, i: int, duration: float) -> np.ndarray | None:
-            qp = device.qubits[qubits[i]]
-            idle = idle_superop(qp.t1_us, qp.t2_us, duration)
-            if kind is None:
-                return idle
-            return pulses[kind][i] if idle is None else idle @ pulses[kind][i]
+            m = rz_maps.get(angle)
+            if m is None:
+                phase = cmath.exp(-1j * angle)
+                m = rz_maps[angle] = np.diag((1, phase, phase.conjugate(), 1))
+            push(i, m)
     state = np.zeros((d,) * k, dtype=complex)
     state[(0,) * k] = 1.0
 
     def flush(i: int) -> None:
         nonlocal state
         if pending[i] is not None:
-            m = np.asarray(pending[i]).reshape(d, d)  # a pure-path tuple becomes a 2x2 array
+            m = product(pending[i])
             state = (m @ state.reshape(d**i, d, -1)).reshape(state.shape)
             pending[i] = None
 
@@ -265,10 +314,10 @@ def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> 
         duration = 0.0
         pulsed: dict[int, str] = {}  # axis -> pulse kind, applied with the layer's idle decay
         for g in layer:
-            if g.kind in pulses:
+            if g.kind in _GATE_1Q:
                 i = pos[g.qubits[0]]
                 if device is None:
-                    push(i, pulses[g.kind][i])
+                    push(i, pulses[g.kind])
                 else:
                     pulsed[i] = g.kind
             elif g.kind == "RZ":
@@ -286,11 +335,9 @@ def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> 
         if device is None or (duration <= 0 and not pulsed):
             continue
         for i in range(k):
-            key = (pulsed.get(i), i, duration)
-            if key not in fused:
-                fused[key] = fuse(*key)
-            if fused[key] is not None:
-                push(i, fused[key])
+            m = _layer_map(pulsed.get(i), *noise[i], duration)
+            if m is not None:
+                push(i, m)
     for i in range(k):
         flush(i)
     return state
@@ -299,18 +346,19 @@ def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> 
 def _density_probs(rho: np.ndarray) -> np.ndarray:
     """Outcome probabilities of a (4,)*k density matrix.
 
-    Checks the trace, Hermiticity and populations first; only round-off
-    negatives that pass the check are clipped.
+    Checks the trace, Hermiticity and populations first, each written so
+    that a NaN fails it; only round-off negatives that pass the check are
+    clipped.
     """
     k = rho.ndim
     pops = rho[(slice(None, None, 3),) * k].reshape(-1)  # ket == bra: indices 0 and 3
     trace = pops.sum()
-    if abs(trace.real - 1.0) > 1e-9 or abs(trace.imag) > 1e-9:
+    if not (abs(trace.real - 1.0) <= 1e-9 and abs(trace.imag) <= 1e-9):
         raise RuntimeError("density matrix trace drifted")
-    if np.abs(rho - rho[np.ix_(*[_KET_BRA_SWAP] * k)].conj()).max() > 1e-9:
+    if not np.abs(rho - rho[np.ix_(*[_KET_BRA_SWAP] * k)].conj()).max() <= 1e-9:
         raise RuntimeError("density matrix lost Hermiticity")
     pops = pops.real
-    if pops.min() < -1e-12:
+    if not pops.min() >= -1e-12:
         raise RuntimeError("density matrix has a negative population")
     pops = np.clip(pops, 0.0, None)
     return pops / pops.sum()
@@ -342,6 +390,26 @@ def _outcome_probs(circuit: Circuit, device: DeviceModel) -> tuple[list[int], np
         probs = np.abs(_evolve(circuit, active, None).reshape(-1)) ** 2
         return active, probs / probs.sum()
     return active, _density_probs(_evolve(circuit, active, device))
+
+
+def _draw_outcomes(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """``rng.choice(len(probs), shots, p=probs)``, draw for draw.
+
+    The same checks (NaN, negative, or a sum off 1 by more than sqrt(eps)
+    raise ValueError), then the same inverse CDF over ``shots`` uniforms,
+    so the outcomes and the generator state match ``choice``'s; it skips
+    ``choice``'s per-call argument handling.
+    """
+    total = probs.sum()
+    if np.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if (probs < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > _SUM_TOLERANCE:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(shots), side="right")
 
 
 def run_ideal(circuit: Circuit) -> np.ndarray:
@@ -382,7 +450,7 @@ def run_noisy(
     active, probs = _outcome_probs(circuit, device)
     if active:
         k = len(active)
-        outcomes = rng.choice(2**k, size=shots, p=probs)
+        outcomes = _draw_outcomes(probs, shots, rng)
         for i, q_phys in enumerate(active):
             bits[q_phys] = (outcomes >> (k - 1 - i)) & 1
 
@@ -400,8 +468,15 @@ def run_noisy(
                 bits[a] ^= mask
                 bits[b] ^= mask
 
-    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    values, counts = np.unique(weights @ bits, return_counts=True)
+    index = np.zeros(shots, dtype=np.int64)
+    for row in bits:
+        index = (index << 1) | row
+    if 2**n <= shots:  # a dense histogram no longer than the shot vector
+        counts = np.bincount(index, minlength=2**n)
+        values = np.flatnonzero(counts)
+        counts = counts[values]
+    else:
+        values, counts = np.unique(index, return_counts=True)
     key = f"0{n}b"
     table = {format(v, key): c for v, c in zip(values.tolist(), counts.tolist())}
     return ShotTable(counts=table, shots=shots, n_qubits=n)

@@ -360,6 +360,8 @@ def run_clops(
 
 # --- stability -----------------------------------------------------------------
 
+STABILITY_MIN_REPEATS = 3  # fewest repeats a relative spread is reported over
+
 
 @dataclass(frozen=True)
 class StabilityRecord:
@@ -381,8 +383,8 @@ def run_stability(
 
     Unidentifiable fits are excluded from the per-qubit summary and counted.
     """
-    if repeats < 3:
-        raise ValueError("stability needs at least 3 repeats")
+    if repeats < STABILITY_MIN_REPEATS:
+        raise ValueError(f"stability needs at least {STABILITY_MIN_REPEATS} repeats")
     cfg = cfg or CoherenceConfig(max_wait_us=24.0)
     qubits = list(range(backend.n_qubits)) if qubits is None else qubits
     stamps = []

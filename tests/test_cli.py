@@ -138,6 +138,28 @@ class TestCountArguments:
         assert rec.config["shots"] == (None if given is None else used)
 
 
+class TestRangeArguments:
+    """A qubit outside the backend, too few stability repeats or an empty
+    remote register is a usage error, caught before any record is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["rb", "--qubit", "7"],
+        ["coherence", "t1", "--qubit", "9"],
+        ["rb", "--qubit", "-1"],
+        ["coherence", "t2star", "--qubit", "5"],
+        ["rb", "--device", "ideal", "--ideal-width", "2", "--qubit", "2"],
+        ["stability", "--repeats", "2"],
+        ["stability", "--repeats", "1"],
+        ["rb", "--backend", "remote", "--remote-qubits", "0"],
+        ["rb", "--backend", "remote", "--remote-qubits", "-3"],
+        ["rb", "--backend", "remote", "--remote-qubits", "3", "--qubit", "3"],
+    ])
+    def test_out_of_range_is_usage_error(self, tmp_path, capsys, argv):
+        assert cli_main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+        assert RunStore(str(tmp_path)).records() == []
+
+
 class TestDeterminism:
     def test_rb_scalar_sections_byte_identical(self, tmp_path):
         args = ["rb", "--qubit", "0", "--shots", "1024", "--seed", "7", "--out", str(tmp_path)]

@@ -1,5 +1,6 @@
 """The fused evolutions, density-matrix and pure-state, agree with their
-gate-by-gate oracles."""
+gate-by-gate oracles; the density path's chain products agree with a fold."""
+import functools
 import math
 
 import numpy as np
@@ -22,7 +23,18 @@ from qbench.application import (
 from qbench.circuits import Circuit, TimingModel, cz, measure_all, rz, wait, x, x90, y90
 from qbench.component import RBConfig, gen_rb_sequences
 from qbench.device import DeviceModel, QubitParams, ideal_device, starmon5_reference_model
-from qbench.simulator import _density_probs, _evolve, _noiseless, _outcome_probs, run_noisy
+from qbench.simulator import (
+    _SHORT_CHAIN,
+    _chain_product,
+    _density_probs,
+    _evolve,
+    _layer_map,
+    _noiseless,
+    _outcome_probs,
+    depolarizing_superop,
+    idle_superop,
+    run_noisy,
+)
 from qbench.system import compile_qv_circuit, gen_qv_spec
 
 TOL = 1e-12
@@ -239,3 +251,33 @@ def test_noisy_idle_qubit_keeps_pure_path_and_samples():
     table = run_noisy(circuit, device, 4000, seed=5)
     assert all(key[1] == "0" for key in table.counts)
     assert table.counts.get("000", 0) == pytest.approx(1000, abs=150)
+
+
+# --- pending chains and cached layer maps ----------------------------------------
+
+def test_chain_product_matches_left_fold():
+    """Chains of 1-300 channel maps, on both sides of the batching threshold."""
+    rng = np.random.default_rng(17)
+    chain = []
+    for j in range(300):
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        m = np.kron(u, u.conj())
+        if j % 3 == 0:
+            m = depolarizing_superop(rng.uniform(0.0, 0.05)) @ m
+        if j % 5 == 0:
+            m = idle_superop(20.0, 15.0, rng.uniform(0.0, 3000.0)) @ m
+        chain.append(m)
+    for length in range(1, 301):
+        fold = functools.reduce(lambda acc, m: m @ acc, chain[:length])
+        got = _chain_product(chain[:length])
+        if length <= _SHORT_CHAIN:
+            assert np.array_equal(got, fold)
+        assert np.abs(got - fold).max() <= 1e-14
+
+
+def test_layer_maps_are_read_only():
+    m = _layer_map("X90", 0.01, 20.0, 15.0, 20.0)
+    assert _layer_map("X90", 0.01, 20.0, 15.0, 20.0) is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 0.0
+    assert _layer_map(None, 0.0, math.inf, math.inf, 20.0) is None

@@ -1,14 +1,16 @@
-"""``run_noisy``'s block readout draws agree with the per-qubit reference sampler."""
+"""``run_noisy``'s block readout draws agree with the per-qubit reference sampler,
+and its outcome draw agrees with ``Generator.choice`` draw for draw."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sampling_oracle
 from qbench.circuits import Circuit, cz, measure_all, rz, wait, x, x90, y90
 from qbench.device import DeviceModel, QubitParams
-from qbench.simulator import run_noisy
+from qbench.simulator import _draw_outcomes, run_noisy
 
 
 @st.composite
@@ -57,3 +59,41 @@ def test_block_draws_match_reference(case):
     assert table.counts == sampling_oracle.sample(circuit, device, shots, ref_rng)
     # the same number and order of draws, not just the same counts
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@st.composite
+def distributions(draw):
+    """A normalized distribution over 1-64 outcomes, zero entries included."""
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                            min_size=1, max_size=64).filter(lambda w: sum(w) > 0))
+    weights = np.array(weights)
+    return weights / weights.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(distributions(), st.sampled_from([1, 7, 1024, 16384]), st.integers(0, 2**32 - 1))
+def test_inverse_cdf_draw_matches_choice(probs, shots, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw_outcomes(probs, shots, rng)
+    want = ref_rng.choice(len(probs), size=shots, p=probs)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("probs", [
+    [np.nan, 1.0],
+    [0.5, np.nan, 0.5],
+    [-0.1, 1.1],
+    [0.5, 0.4],
+    [0.6, 0.6],
+    [np.inf, 0.0],
+])
+def test_draw_rejects_what_choice_rejects(probs):
+    probs = np.array(probs)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(probs), size=3, p=probs)
+    with pytest.raises(ValueError):
+        _draw_outcomes(probs, 3, rng)
+    assert rng.bit_generator.state == before

@@ -12,6 +12,11 @@ pending 2x2 maps from numpy arrays to Python complex scalars: that changes
 the ideal reference distributions by rounding only, and ``qft_w2`` moved by
 one ulp (0.809027777777778 -> 0.8090277777777778).  The values recorded
 before that change are kept below and must still hold to 1e-12 relative.
+
+The calibrate digest (RB, T1/T2*/T2 echo, readout and crosstalk) was
+recorded before the density path multiplied long pending chains pairwise
+and cached layer maps across circuits, and before the outcome draw left
+``Generator.choice`` for the same inverse CDF; both must leave it as it is.
 """
 import hashlib
 
@@ -30,6 +35,8 @@ GOLDEN = {
                   "0953ded3f2ef61aa0f0c0288e35e3925c223ff609d9dc8db50c5f2878ca3fe10"),
     "qscore": (["--device", "ideal", "--time-limit", "600"],
                "efcb3f6d6d11d3d79327f8d231ba2bbb78115d591b1cd9b274e4b69d135ef2af"),
+    "calibrate": (["--device", "starmon5"],
+                  "8d52475cc1c78630aeaac9e79c9fc7a801c8fe16a29d6e0c6d80857dae1faec6"),
 }
 
 # appsuite scalars recorded before the scalar 2x2 maps, at the pinned settings

@@ -1,5 +1,6 @@
 """Analytic checks for both simulators and the noise channels."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,20 @@ class TestNoisy:
         assert freqs[3] == pytest.approx(0.2, abs=0.01)
         assert freqs[1] == 0.0 and freqs[2] == 0.0
 
+    def test_wide_register_counts_without_dense_histogram(self):
+        """Counting 5 shots on 40 qubits must not allocate one slot per outcome."""
+        qp = QubitParams(math.inf, math.inf, readout=((0.7, 0.3), (0.2, 0.8)))
+        dev = DeviceModel(qubits=(qp,) * 40, p1=(0.0,) * 40, p2=0.0)
+        tracemalloc.start()
+        try:
+            table = run_noisy(Circuit(40, (x(3), measure_all())), dev, 5, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert table.shots == 5 and sum(table.counts.values()) == 5
+        assert all(len(key) == 40 for key in table.counts)
+
 
 class TestDensityInvariants:
     def test_channels_preserve_trace_hermiticity_psd(self, rng):
@@ -258,6 +273,14 @@ class TestDensityInvariants:
     def test_round_off_negative_population_is_clipped(self):
         rho = np.array([1.0 + 1e-13, 0.0, 0.0, -1e-13], dtype=complex)
         assert _density_probs(rho).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("rho", [
+        [np.nan, 0.0, 0.0, 1.0],  # a NaN population
+        [0.5, np.nan, 0.0, 0.5],  # a NaN coherence
+    ])
+    def test_check_rejects_nan(self, rho):
+        with pytest.raises(RuntimeError):
+            _density_probs(np.array(rho, dtype=complex))
 
 
 class TestShotTable:
