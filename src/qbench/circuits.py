@@ -13,7 +13,7 @@ threads; build them single-threaded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 GATE_KINDS = ("X", "X90", "Y90", "RZ", "CZ", "WAIT", "MEASURE_ALL")
 PULSE_KINDS = ("X", "X90", "Y90")  # physical single-qubit pulses
@@ -87,28 +87,28 @@ def measure_all() -> Gate:
 
 @dataclass(frozen=True)
 class TimingModel:
-    """Gate durations in nanoseconds.  RZ is a virtual frame change."""
+    """Gate durations in nanoseconds.  RZ is a virtual frame change.
+
+    ``kind_ns`` maps every gate kind but WAIT, which carries its own
+    duration, to its duration; it is built once, from the four fields.
+    """
 
     single_qubit_gate_ns: float = 20.0
     two_qubit_gate_ns: float = 40.0
     rz_ns: float = 0.0
     measure_ns: float = 1000.0
+    kind_ns: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("single_qubit_gate_ns", "two_qubit_gate_ns", "rz_ns", "measure_ns"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        kind_ns = dict.fromkeys(PULSE_KINDS, self.single_qubit_gate_ns)
+        kind_ns.update(CZ=self.two_qubit_gate_ns, RZ=self.rz_ns, MEASURE_ALL=self.measure_ns)
+        object.__setattr__(self, "kind_ns", kind_ns)
 
     def gate_duration_ns(self, gate: Gate) -> float:
-        if gate.kind in PULSE_KINDS:
-            return self.single_qubit_gate_ns
-        if gate.kind == "CZ":
-            return self.two_qubit_gate_ns
-        if gate.kind == "RZ":
-            return self.rz_ns
-        if gate.kind == "WAIT":
-            return float(gate.duration_ns)
-        return self.measure_ns
+        return float(gate.duration_ns) if gate.kind == "WAIT" else self.kind_ns[gate.kind]
 
     def scaled(self, factor: float) -> "TimingModel":
         return TimingModel(

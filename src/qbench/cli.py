@@ -5,9 +5,18 @@
 
 Metrics: calibrate, rb, readout, crosstalk, coherence {t1,t2star,t2hahn},
 qv, clops, stability, qscore, appsuite, report.  --device takes a JSON
-model path or the built-in names "starmon5" and "ideal".  Exit codes:
-0 success, 1 metric invalid (flagged fit or no passing depth/size),
-2 usage error.
+model path or the built-in names "starmon5" and "ideal".
+
+Every metric run writes one record, built in ``cli_main``: the metric
+name, the parsed options, the backend's metadata, the seed and the UTC
+start and finish times.  Each ``cmd_*`` function only fills in its scalars,
+flags, timing and raw references; a run that raises writes no record.  An
+unset ``--shots`` passes no shot count, so each protocol runs at the
+library's own default, and each coherence experiment owns its wait scan.
+
+Exit codes: 0 success; 1 metric invalid, which is a record carrying any
+flag other than a ``*_skipped`` one (a flagged fit, no passing depth or
+size) or a run that raised a backend or value error; 2 usage error.
 """
 from __future__ import annotations
 
@@ -23,9 +32,6 @@ from .backends import Backend, BackendError, LocalSimBackend
 from .component import (
     CoherenceConfig,
     RBConfig,
-    T1_MAX_WAIT_US,
-    T2HAHN_MAX_WAIT_US,
-    T2STAR_MAX_WAIT_US,
     measure_crosstalk,
     measure_readout,
     run_calibration,
@@ -36,7 +42,8 @@ from .component import (
 )
 from .device import ideal_device, load_device, starmon5_reference_model
 from .remote import RemoteBackend
-from .reporting import MetricReport, RunStore, emit_report, scalar, write_summary, write_volumetric_csv
+from .reporting import (MetricReport, RunStore, emit_report, scalar, utc_now, write_summary,
+                        write_volumetric_csv)
 from .system import (
     STABILITY_MIN_REPEATS,
     CLOPSConfig,
@@ -66,10 +73,6 @@ def stability_repeats(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be at least {STABILITY_MIN_REPEATS}, got {value}")
     return value
-
-
-def _shots(args: argparse.Namespace, default: int) -> int:
-    return default if args.shots is None else args.shots
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,22 +130,10 @@ def make_backend(args: argparse.Namespace) -> Backend:
     return LocalSimBackend(model, drift_seed=args.seed)
 
 
-def _base_report(args: argparse.Namespace, metric: str, backend: Backend) -> MetricReport:
-    cfg = {
-        k: v for k, v in vars(args).items()
-        if k not in ("command",) and not k.startswith("_")
-    }
-    return MetricReport(
-        metric=metric,
-        config=cfg,
-        backend=backend.metadata(),
-        scalars={},
-        seed=args.seed,
-    )
-
-
-def _store(args: argparse.Namespace) -> RunStore:
-    return RunStore(args.out)
+def _given_shots(args: argparse.Namespace) -> dict:
+    """``shots`` as a keyword when ``--shots`` is given, so an unset one
+    leaves the library's protocol default in place."""
+    return {} if args.shots is None else {"shots": args.shots}
 
 
 def _qubits(args: argparse.Namespace, backend: Backend) -> list[int]:
@@ -150,71 +141,50 @@ def _qubits(args: argparse.Namespace, backend: Backend) -> list[int]:
     return list(range(backend.n_qubits)) if q is None else [q]
 
 
-def cmd_rb(args, backend, store) -> int:
-    rep = _base_report(args, "rb", backend)
-    cfg = RBConfig(shots=_shots(args, 4096), seed=args.seed)
-    invalid = False
+def cmd_rb(args, backend, rep, store) -> None:
+    cfg = RBConfig(seed=args.seed, **_given_shots(args))
     for q in _qubits(args, backend):
         res = run_rb(backend, cfg, q)
         rep.scalars[f"f1q_q{q}"] = scalar(res.f1q * 100, "percent")
         rep.scalars[f"epc_q{q}"] = scalar(res.epc, "error_per_clifford")
         if not res.valid:
             rep.flags.append(f"q{q}_fit_invalid")
-            invalid = True
         print(f"rb q{q}: F1Q = {res.f1q * 100:.3f}%  EPC = {res.epc:.5f}"
               + ("  [invalid]" if not res.valid else ""))
-    store.append(rep)
-    return EXIT_METRIC_INVALID if invalid else EXIT_OK
 
 
-def cmd_readout(args, backend, store) -> int:
-    rep = _base_report(args, "readout", backend)
-    res = measure_readout(backend, shots=_shots(args, 4096), seed=args.seed)
+def cmd_readout(args, backend, rep, store) -> None:
+    res = measure_readout(backend, seed=args.seed, **_given_shots(args))
     for q in range(backend.n_qubits):
         rep.scalars[f"fro_q{q}"] = scalar(res.fidelity(q) * 100, "percent")
         print(f"readout q{q}: F_RO = {res.fidelity(q) * 100:.2f}%")
-    store.append(rep)
-    return EXIT_OK
 
 
-def cmd_crosstalk(args, backend, store) -> int:
-    rep = _base_report(args, "crosstalk", backend)
-    res = measure_crosstalk(backend, shots=_shots(args, 16384), seed=args.seed)
+def cmd_crosstalk(args, backend, rep, store) -> None:
+    res = measure_crosstalk(backend, seed=args.seed, **_given_shots(args))
     rep.scalars["max_row_l1"] = scalar(res.max_row_l1, "l1_distance")
     rep.scalars["max_row_offdiag"] = scalar(res.max_row_offdiag, "probability")
     rep.raw_refs.append(
         store.write_raw("crosstalk", {"matrix": res.matrix.tolist()})
     )
     print(f"crosstalk: max row L1 vs independent model = {res.max_row_l1:.4f}")
-    store.append(rep)
-    return EXIT_OK
 
 
-def cmd_coherence(args, backend, store) -> int:
-    runner = {
-        "t1": (t1_experiment, T1_MAX_WAIT_US, "t1"),
-        "t2star": (t2star_experiment, T2STAR_MAX_WAIT_US, "t2star"),
-        "t2hahn": (t2hahn_experiment, T2HAHN_MAX_WAIT_US, "t2hahn"),
+def cmd_coherence(args, backend, rep, store) -> None:
+    experiment = {
+        "t1": t1_experiment, "t2star": t2star_experiment, "t2hahn": t2hahn_experiment,
     }[args.kind]
-    fn, max_wait, name = runner
-    rep = _base_report(args, f"coherence_{name}", backend)
-    cfg = CoherenceConfig(max_wait_us=max_wait, shots=_shots(args, 4096), seed=args.seed)
-    invalid = False
+    cfg = CoherenceConfig(seed=args.seed, **_given_shots(args))
     for q in _qubits(args, backend):
-        res = fn(backend, q, cfg)
-        rep.scalars[f"{name}_q{q}"] = scalar(res.time_us, "microsecond")
+        res = experiment(backend, q, cfg)
+        rep.scalars[f"{args.kind}_q{q}"] = scalar(res.time_us, "microsecond")
         if not res.valid:
             rep.flags.append(f"q{q}_fit_invalid")
-            invalid = True
-        print(f"{name} q{q}: {res.time_us:.2f} us" + ("  [invalid]" if not res.valid else ""))
-    store.append(rep)
-    return EXIT_METRIC_INVALID if invalid else EXIT_OK
+        print(f"{args.kind} q{q}: {res.time_us:.2f} us" + ("  [invalid]" if not res.valid else ""))
 
 
-def cmd_calibrate(args, backend, store) -> int:
-    rep = _base_report(args, "calibrate", backend)
-    summary = run_calibration(backend, seed=args.seed, shots=_shots(args, 4096))
-    invalid = False
+def cmd_calibrate(args, backend, rep, store) -> None:
+    summary = run_calibration(backend, seed=args.seed, **_given_shots(args))
     for q in range(backend.n_qubits):
         rep.scalars[f"f1q_q{q}"] = scalar(summary.rb[q].f1q * 100, "percent")
         rep.scalars[f"fro_q{q}"] = scalar(summary.readout.fidelity(q) * 100, "percent")
@@ -225,13 +195,11 @@ def cmd_calibrate(args, backend, store) -> int:
                          (summary.t2star[q], "t2star"), (summary.t2hahn[q], "t2hahn")):
             if not res.valid:
                 rep.flags.append(f"q{q}_{tag}_invalid")
-                invalid = True
     rep.scalars["q_factor"] = scalar(summary.q_factor, "gates_per_t2star")
     if summary.crosstalk is None:
         rep.flags.append("crosstalk_skipped")
     else:
         rep.scalars["crosstalk_max_row_l1"] = scalar(summary.crosstalk.max_row_l1, "l1_distance")
-    store.append(rep)
     for q in range(backend.n_qubits):
         print(
             f"q{q}: T1={rep.scalars[f't1_q{q}']['value']:.2f}us "
@@ -241,38 +209,25 @@ def cmd_calibrate(args, backend, store) -> int:
             f"F_RO={rep.scalars[f'fro_q{q}']['value']:.2f}%"
         )
     print(f"Q-factor = {summary.q_factor:.1f}")
-    return EXIT_METRIC_INVALID if invalid else EXIT_OK
 
 
-def cmd_qv(args, backend, store) -> int:
-    rep = _base_report(args, "qv", backend)
-    cfg = QVConfig(
-        n_circuits=args.circuits,
-        shots=_shots(args, 100),
-        max_width=args.max_width,
-        seed=args.seed,
-    )
+def cmd_qv(args, backend, rep, store) -> None:
+    cfg = QVConfig(n_circuits=args.circuits, max_width=args.max_width, seed=args.seed,
+                   **_given_shots(args))
     res = run_quantum_volume(backend, cfg)
     rep.scalars["quantum_volume"] = scalar(res.qv, "dimensionless")
     for d in res.per_depth:
         rep.scalars[f"heavy_fraction_d{d.depth}"] = scalar(d.heavy_fraction, "fraction")
     if res.flag:
         rep.flags.append(res.flag)
-    store.append(rep)
     print(f"quantum volume = {res.qv}" + (f"  [{res.flag}]" if res.flag else ""))
     for d in res.per_depth:
         print(f"  depth {d.depth}: heavy fraction {d.heavy_fraction:.3f} "
               f"(2-sigma {2 * d.sigma:.3f}) {'pass' if d.passed else 'fail'}")
-    return EXIT_METRIC_INVALID if res.flag else EXIT_OK
 
 
-def cmd_clops(args, backend, store) -> int:
-    rep = _base_report(args, "clops", backend)
-    cfg = CLOPSConfig(
-        m_templates=args.templates,
-        k_updates=args.updates,
-        shots=_shots(args, 100),
-    )
+def cmd_clops(args, backend, rep, store) -> None:
+    cfg = CLOPSConfig(m_templates=args.templates, k_updates=args.updates, **_given_shots(args))
     res = run_clops(backend, cfg, measured_qv=args.qv, seed=args.seed)
     rep.scalars["clops"] = scalar(res.clops, "layer_ops_per_second")
     rep.scalars["layers_d"] = scalar(res.d, "layers")
@@ -281,29 +236,22 @@ def cmd_clops(args, backend, store) -> int:
         "t_quantum_s": res.t_quantum_s,
         "t_classical_s": res.t_classical_s,
     }
-    store.append(rep)
     print(f"CLOPS = {res.clops:.1f} (D={res.d}, T_total={res.t_total_s:.3f}s)")
-    return EXIT_OK
 
 
-def cmd_stability(args, backend, store) -> int:
-    rep = _base_report(args, "stability", backend)
+def cmd_stability(args, backend, rep, store) -> None:
     res = run_stability(backend, repeats=args.repeats, interval_s=args.interval,
-                        cfg=CoherenceConfig(max_wait_us=T2STAR_MAX_WAIT_US,
-                                            shots=_shots(args, 4096), seed=args.seed))
+                        cfg=CoherenceConfig(seed=args.seed, **_given_shots(args)))
     finite = [v for v in res.relative_std if np.isfinite(v)]
     rep.scalars["max_rel_std"] = scalar(max(finite) if finite else float("nan"), "fraction")
     for q, rs in enumerate(res.relative_std):
         rep.scalars[f"rel_std_q{q}"] = scalar(rs, "fraction")
         print(f"stability q{q}: relative std {rs:.3f}")
     rep.scalars["flagged_points"] = scalar(res.flagged, "count")
-    store.append(rep)
-    return EXIT_OK
 
 
-def cmd_qscore(args, backend, store) -> int:
-    rep = _base_report(args, "qscore", backend)
-    cfg = QScoreConfig(time_limit_s=args.time_limit, shots=_shots(args, 1024))
+def cmd_qscore(args, backend, rep, store) -> None:
+    cfg = QScoreConfig(time_limit_s=args.time_limit, **_given_shots(args))
     res = run_qscore(backend, cfg, seed=args.seed)
     rep.scalars["qscore"] = scalar(res.qscore, "graph_size")
     for r in res.per_size:
@@ -317,33 +265,26 @@ def cmd_qscore(args, backend, store) -> int:
               f"({'pass' if r.passed else 'fail'}, {r.elapsed_s:.1f}s)")
     if res.flag:
         rep.flags.append(res.flag)
-    store.append(rep)
     print(f"Q-score = {res.qscore}" + (f"  [{res.flag}]" if res.flag else ""))
-    return EXIT_METRIC_INVALID if res.flag else EXIT_OK
 
 
-def cmd_appsuite(args, backend, store) -> int:
-    rep = _base_report(args, "appsuite", backend)
+def cmd_appsuite(args, backend, rep, store) -> None:
     widths = tuple(range(2, args.max_width + 1))
-    cells = run_app_suite(backend, widths=widths, shots=_shots(args, 1024), seed=args.seed)
+    cells = run_app_suite(backend, widths=widths, seed=args.seed, **_given_shots(args))
     for c in cells:
         if c.skipped_reason:
             rep.flags.append(f"{c.algorithm}_w{c.width}_skipped")
             continue
         rep.scalars[f"{c.algorithm}_w{c.width}"] = scalar(c.fidelity, "fidelity")
         print(f"{c.algorithm} width {c.width}: fidelity {c.fidelity:.3f} (depth {c.depth})")
-    csv_path = write_volumetric_csv(store, volumetric_csv(cells))
-    rep.raw_refs.append(csv_path)
-    store.append(rep)
-    return EXIT_OK
+    rep.raw_refs.append(write_volumetric_csv(store, volumetric_csv(cells)))
 
 
-def cmd_report(args, backend, store) -> int:
+def cmd_report(store: RunStore) -> None:
     summary = emit_report(store)
     path = write_summary(store, summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     print(f"summary written to {path}", file=sys.stderr)
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -357,8 +298,14 @@ _COMMANDS = {
     "stability": cmd_stability,
     "qscore": cmd_qscore,
     "appsuite": cmd_appsuite,
-    "report": cmd_report,
 }
+# a run that raises one of these writes no record and exits EXIT_METRIC_INVALID
+_RUN_ERRORS = (BackendError, ValueError, KeyError, OSError)
+
+
+def _run_failed(err: Exception) -> int:
+    print(f"error: {err}", file=sys.stderr)
+    return EXIT_METRIC_INVALID
 
 
 def cli_main(argv: list[str] | None = None) -> int:
@@ -367,8 +314,14 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if args.command == "report":  # reads the records and writes none
+        try:
+            cmd_report(RunStore(args.out))
+        except _RUN_ERRORS as err:
+            return _run_failed(err)
+        return EXIT_OK
     try:
-        backend = make_backend(args) if args.command != "report" else None
+        backend = make_backend(args)
     except (ValueError, KeyError, TypeError, OSError) as err:
         print(f"error: bad --device: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -377,12 +330,25 @@ def cli_main(argv: list[str] | None = None) -> int:
         print(f"error: --qubit {qubit} out of range for {backend.n_qubits} qubits",
               file=sys.stderr)
         return EXIT_USAGE
+    # the one run envelope: build the record, let the command fill it in, store it
     try:
-        store = _store(args)
-        return _COMMANDS[args.command](args, backend, store)
-    except (BackendError, ValueError, KeyError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_METRIC_INVALID
+        store = RunStore(args.out)
+        rep = MetricReport(
+            metric=f"coherence_{args.kind}" if args.command == "coherence" else args.command,
+            config={k: v for k, v in vars(args).items()
+                    if k != "command" and not k.startswith("_")},
+            backend=backend.metadata(),
+            scalars={},
+            seed=args.seed,
+            started_at=utc_now(),
+        )
+        _COMMANDS[args.command](args, backend, rep, store)
+        rep.finished_at = utc_now()
+        store.append(rep)
+    except _RUN_ERRORS as err:
+        return _run_failed(err)
+    invalid = any(not flag.endswith("_skipped") for flag in rep.flags)
+    return EXIT_METRIC_INVALID if invalid else EXIT_OK
 
 
 def main() -> None:

@@ -44,19 +44,19 @@ class RBConfig:
 
 @dataclass(frozen=True)
 class CoherenceConfig:
-    max_wait_us: float = 60.0
+    # longest wait of the scan; None runs each experiment's own scan
+    # (T1_MAX_WAIT_US, T2STAR_MAX_WAIT_US or T2HAHN_MAX_WAIT_US)
+    max_wait_us: float | None = None
     detuning_mhz: float = 0.125
     shots: int = 4096
     seed: int = 0
-
-    def waits_us(self) -> np.ndarray:
-        return np.linspace(0.0, self.max_wait_us, _N_WAITS)
 
 
 _N_WAITS = 32  # points of every coherence scan
 T1_MAX_WAIT_US = 60.0
 T2STAR_MAX_WAIT_US = 24.0
 T2HAHN_MAX_WAIT_US = 120.0
+_MAX_WAIT_US = {"t1": T1_MAX_WAIT_US, "t2star": T2STAR_MAX_WAIT_US, "t2hahn": T2HAHN_MAX_WAIT_US}
 
 
 # --- randomized benchmarking --------------------------------------------------
@@ -251,7 +251,8 @@ def _wait_scan(
     fit: Callable[[DataSeries], FitResult],
 ) -> CoherenceResult:
     """Run ``ops_at(wait_us)`` then a measurement at every wait and fit the decay."""
-    waits = cfg.waits_us()
+    max_wait_us = _MAX_WAIT_US[kind] if cfg.max_wait_us is None else cfg.max_wait_us
+    waits = np.linspace(0.0, max_wait_us, _N_WAITS)
     circuits = [
         Circuit(backend.n_qubits, (*ops_at(t), measure_all()), label=f"{kind}_q{qubit}_{i}")
         for i, t in enumerate(waits)
@@ -272,9 +273,8 @@ def _wait_scan(
 
 def t1_experiment(backend: Backend, qubit: int, cfg: CoherenceConfig | None = None) -> CoherenceResult:
     """Relaxation: excite, idle for a scanned duration, measure."""
-    cfg = cfg or CoherenceConfig(max_wait_us=T1_MAX_WAIT_US)
     return _wait_scan(
-        backend, qubit, cfg, "t1",
+        backend, qubit, cfg or CoherenceConfig(), "t1",
         lambda t: (x(qubit), wait(qubit, t * 1000.0)),
         fit_exp_decay,
     )
@@ -289,7 +289,7 @@ def t2star_experiment(
     the fitted oscillation frequency is known, which keeps slow dephasing
     from masquerading as a frequency mismatch.
     """
-    cfg = cfg or CoherenceConfig(max_wait_us=T2STAR_MAX_WAIT_US)
+    cfg = cfg or CoherenceConfig()
     omega = 2 * np.pi * cfg.detuning_mhz  # rad per microsecond
 
     def fit(series: DataSeries) -> FitResult:
@@ -315,9 +315,8 @@ def t2hahn_experiment(
     backend: Backend, qubit: int, cfg: CoherenceConfig | None = None
 ) -> CoherenceResult:
     """Echo: half the wait, one refocusing pulse, the other half."""
-    cfg = cfg or CoherenceConfig(max_wait_us=T2HAHN_MAX_WAIT_US)
     return _wait_scan(
-        backend, qubit, cfg, "t2hahn",
+        backend, qubit, cfg or CoherenceConfig(), "t2hahn",
         lambda t: (x90(qubit), wait(qubit, t * 500.0), x(qubit), wait(qubit, t * 500.0), x90(qubit)),
         fit_exp_decay,
     )
@@ -358,24 +357,18 @@ def run_calibration(
     is off or the backend is wider than the crosstalk cap.
     """
     n = backend.n_qubits
+    rb_cfg = rb_cfg or RBConfig(shots=shots, seed=seed)
+    coh_cfg = CoherenceConfig(shots=shots, seed=seed)
     rb_results = []
     t1s, t2stars, t2hahns = [], [], []
     for q in range(n):
-        rb_results.append(
-            run_rb(backend, rb_cfg or RBConfig(shots=shots, seed=seed), q)
-        )
-        t1s.append(
-            t1_experiment(backend, q, CoherenceConfig(max_wait_us=T1_MAX_WAIT_US, shots=shots, seed=seed))
-        )
-        t2stars.append(
-            t2star_experiment(backend, q, CoherenceConfig(max_wait_us=T2STAR_MAX_WAIT_US, shots=shots, seed=seed))
-        )
-        t2hahns.append(
-            t2hahn_experiment(backend, q, CoherenceConfig(max_wait_us=T2HAHN_MAX_WAIT_US, shots=shots, seed=seed))
-        )
+        rb_results.append(run_rb(backend, rb_cfg, q))
+        t1s.append(t1_experiment(backend, q, coh_cfg))
+        t2stars.append(t2star_experiment(backend, q, coh_cfg))
+        t2hahns.append(t2hahn_experiment(backend, q, coh_cfg))
     readout = measure_readout(backend, shots=shots, seed=seed)
     if include_crosstalk and n <= _CROSSTALK_MAX_QUBITS:
-        crosstalk = measure_crosstalk(backend, shots=16384, seed=seed)
+        crosstalk = measure_crosstalk(backend, seed=seed)
     else:
         crosstalk = None
     valid_t2 = [r.time_us for r in t2stars if r.valid]

@@ -24,7 +24,8 @@ from datetime import datetime, timezone
 from . import __version__ as _toolkit_version
 
 
-def _now() -> str:
+def utc_now() -> str:
+    """The current UTC time in ISO 8601, the form of every record timestamp."""
     return datetime.now(timezone.utc).isoformat()
 
 
@@ -174,7 +175,7 @@ def emit_report(store: RunStore) -> dict:
     if crosstalk is None:
         crosstalk = top_scalar("calibrate", "crosstalk_max_row_l1")
     summary = {
-        "generated_at": _now(),
+        "generated_at": utc_now(),
         "toolkit_version": _toolkit_version,
         "component": {
             "per_qubit": qubit_rows,

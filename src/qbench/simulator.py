@@ -69,6 +69,7 @@ from .cliffords import X90_MAT, X_MAT, Y90_MAT
 from .device import DeviceModel
 
 IDEAL_QUBIT_CAP = 12
+MAX_REGISTER_QUBITS = 63  # outcome indices are int64, one bit per qubit
 
 _GATE_1Q = {"X": X_MAT, "X90": X90_MAT, "Y90": Y90_MAT}
 _BITS = frozenset("01")
@@ -89,6 +90,9 @@ class ShotTable:
     n_qubits: int
 
     def __post_init__(self) -> None:
+        if self.n_qubits > MAX_REGISTER_QUBITS:
+            raise ValueError(f"a register holds at most {MAX_REGISTER_QUBITS} qubits, "
+                             f"got {self.n_qubits}")
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts must sum to the shot total")
         # two set operations over all keys; a bad key is named only on failure
@@ -283,9 +287,7 @@ def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> 
         layers = circuit.layers()[:-1] if circuit.has_measurement else circuit.layers()
         noise = [(device.p1[q], device.qubits[q].t1_us, device.qubits[q].t2_us) for q in qubits]
         rz_maps: dict[float, np.ndarray] = {}
-        timing = device.timing  # per-kind durations; WAIT carries its own
-        durations = dict.fromkeys(_GATE_1Q, timing.single_qubit_gate_ns)
-        durations.update(CZ=timing.two_qubit_gate_ns, RZ=timing.rz_ns)
+        durations = device.timing.kind_ns  # WAIT carries its own
         product = _chain_product
 
         def push(i: int, m: np.ndarray) -> None:
@@ -377,6 +379,18 @@ def _noiseless(device: DeviceModel, qubits: list[int]) -> bool:
     )
 
 
+def _pure_probs(circuit: Circuit, qubits: list[int]) -> np.ndarray:
+    """Born probabilities of ``qubits`` after the ideal circuit body.
+
+    The norm check is written so that a NaN fails it.
+    """
+    probs = np.abs(_evolve(circuit, qubits, None).reshape(-1)) ** 2
+    total = probs.sum()
+    if not abs(total - 1.0) <= 1e-9:
+        raise RuntimeError("state norm drifted during ideal simulation")
+    return probs / total
+
+
 def _outcome_probs(circuit: Circuit, device: DeviceModel) -> tuple[list[int], np.ndarray | None]:
     """The circuit's active qubits and their outcome distribution.
 
@@ -387,8 +401,7 @@ def _outcome_probs(circuit: Circuit, device: DeviceModel) -> tuple[list[int], np
     if not active:
         return active, None
     if _noiseless(device, active):
-        probs = np.abs(_evolve(circuit, active, None).reshape(-1)) ** 2
-        return active, probs / probs.sum()
+        return active, _pure_probs(circuit, active)
     return active, _density_probs(_evolve(circuit, active, device))
 
 
@@ -417,11 +430,7 @@ def run_ideal(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     if n > IDEAL_QUBIT_CAP:
         raise ValueError(f"ideal simulation capped at {IDEAL_QUBIT_CAP} qubits, got {n}")
-    probs = np.abs(_evolve(circuit, list(range(n)), None).reshape(-1)) ** 2
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise RuntimeError("state norm drifted during ideal simulation")
-    return probs / total
+    return _pure_probs(circuit, list(range(n)))
 
 
 def run_noisy(

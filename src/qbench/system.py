@@ -385,7 +385,7 @@ def run_stability(
     """
     if repeats < STABILITY_MIN_REPEATS:
         raise ValueError(f"stability needs at least {STABILITY_MIN_REPEATS} repeats")
-    cfg = cfg or CoherenceConfig(max_wait_us=24.0)
+    cfg = cfg or CoherenceConfig()
     qubits = list(range(backend.n_qubits)) if qubits is None else qubits
     stamps = []
     series: list[list[float]] = [[] for _ in qubits]

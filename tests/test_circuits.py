@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import native_circuits
 
 from qbench.circuits import (
+    GATE_KINDS,
     Circuit,
     Gate,
     ParamCircuit,
@@ -24,8 +25,29 @@ from qbench.circuits import (
     x90,
     y90,
 )
+from qbench.system import compile_qv_circuit, gen_qv_spec, make_clops_templates
 
 TIMING = TimingModel()
+# a model with four distinct durations, so a kind read from the wrong slot shows
+SKEWED = TimingModel(single_qubit_gate_ns=17.5, two_qubit_gate_ns=43.0, rz_ns=2.0,
+                     measure_ns=901.0)
+
+
+def if_chain_duration_ns(timing: TimingModel, gate: Gate) -> float:
+    """Slow reference: the per-kind if-chain the duration table replaced."""
+    if gate.kind in ("X", "X90", "Y90"):
+        return timing.single_qubit_gate_ns
+    if gate.kind == "CZ":
+        return timing.two_qubit_gate_ns
+    if gate.kind == "RZ":
+        return timing.rz_ns
+    if gate.kind == "WAIT":
+        return float(gate.duration_ns)
+    return timing.measure_ns
+
+
+def if_chain_circuit_ns(timing: TimingModel, circuit: Circuit) -> float:
+    return sum(max(if_chain_duration_ns(timing, g) for g in layer) for layer in circuit.layers())
 
 
 class TestGateValidation:
@@ -85,6 +107,39 @@ class TestDuration:
     def test_cz_and_measure(self):
         c = Circuit(2, (cz(0, 1), measure_all()))
         assert c.duration_ns(TIMING) == 1040.0
+
+
+class TestDurationTable:
+    ONE_OF_EACH = {"X": x(0), "X90": x90(0), "Y90": y90(0), "RZ": rz(0, 0.3), "CZ": cz(0, 1),
+                   "WAIT": wait(0, 123.0), "MEASURE_ALL": measure_all()}
+
+    @pytest.mark.parametrize("timing", [TIMING, SKEWED, TIMING.scaled(2.5)])
+    @pytest.mark.parametrize("kind", GATE_KINDS)
+    def test_every_kind_matches_the_if_chain(self, timing, kind):
+        gate = self.ONE_OF_EACH[kind]
+        assert timing.gate_duration_ns(gate) == if_chain_duration_ns(timing, gate)
+
+    def test_table_covers_every_kind_but_wait(self):
+        assert set(SKEWED.kind_ns) == set(GATE_KINDS) - {"WAIT"}
+
+    def test_table_stays_out_of_equality_and_repr(self):
+        assert SKEWED == TimingModel(17.5, 43.0, 2.0, 901.0)
+        assert hash(SKEWED) == hash(TimingModel(17.5, 43.0, 2.0, 901.0))
+        assert "kind_ns" not in repr(SKEWED)
+
+    @pytest.mark.parametrize("timing", [TIMING, SKEWED])
+    @pytest.mark.parametrize("width", [2, 3, 5])
+    def test_qv_circuit_duration(self, timing, width):
+        star = frozenset({(0, 2), (1, 2), (2, 3), (2, 4)})
+        c = compile_qv_circuit(gen_qv_spec(width, seed=11), 5, connectivity=star)
+        assert c.duration_ns(timing) == if_chain_circuit_ns(timing, c)
+
+    @pytest.mark.parametrize("timing", [TIMING, SKEWED])
+    def test_clops_circuit_duration(self, timing):
+        for template in make_clops_templates(2, 3, seed=4, n_qubits=3, qubit_map=None,
+                                             connectivity=None):
+            c = template.bind([0.1 * i for i in range(template.n_params)])
+            assert c.duration_ns(timing) == if_chain_circuit_ns(timing, c)
 
 
 class TestLayers:

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, artifacts."""
 import json
+from datetime import datetime
 
 import pytest
 
@@ -100,6 +101,65 @@ class TestExitCodes:
         assert code == (EXIT_METRIC_INVALID if fit_flags else EXIT_OK)
 
 
+# exit code and flags of each command at seed 7, recorded before the record
+# envelope moved out of the commands into cli_main
+ENVELOPE_CASES = [
+    (["rb", "--device", "ideal", "--ideal-width", "2", "--shots", "256"],
+     EXIT_METRIC_INVALID, ["q0_fit_invalid", "q1_fit_invalid"]),
+    (["rb", "--qubit", "0", "--shots", "128"], EXIT_OK, []),
+    (["qv", "--max-width", "3", "--circuits", "2", "--shots", "20"],
+     EXIT_METRIC_INVALID, ["no_depth_passed"]),
+    (["appsuite", "--device", "ideal", "--ideal-width", "2", "--max-width", "3", "--shots", "64"],
+     EXIT_OK, ["bv_w3_skipped", "dj_w3_skipped", "qft_w3_skipped"]),
+    (["qscore", "--device", "ideal", "--ideal-width", "2", "--shots", "64"],
+     EXIT_OK, ["n3_skipped", "n4_skipped", "n5_skipped"]),
+    (["calibrate", "--device", "ideal", "--ideal-width", "1", "--shots", "64"],
+     EXIT_METRIC_INVALID, ["q0_rb_invalid", "q0_t1_invalid", "q0_t2star_invalid",
+                           "q0_t2hahn_invalid"]),
+    (["coherence", "t2hahn", "--device", "ideal", "--ideal-width", "2", "--qubit", "1",
+      "--shots", "128"], EXIT_METRIC_INVALID, ["q1_fit_invalid"]),
+    (["coherence", "t1", "--qubit", "2", "--shots", "256"], EXIT_OK, []),
+    (["readout", "--device", "ideal", "--ideal-width", "2", "--shots", "64"], EXIT_OK, []),
+    (["crosstalk", "--device", "ideal", "--ideal-width", "2", "--shots", "64"], EXIT_OK, []),
+    (["clops", "--device", "ideal", "--ideal-width", "2", "--templates", "2", "--updates", "1"],
+     EXIT_OK, []),
+    (["stability", "--device", "ideal", "--ideal-width", "2", "--repeats", "3", "--shots", "64"],
+     EXIT_OK, []),
+]
+
+
+class TestRunEnvelope:
+    """Every metric command writes one record; any flag but a ``*_skipped``
+    one exits 1."""
+
+    @pytest.mark.parametrize("argv, code, flags", ENVELOPE_CASES,
+                             ids=[" ".join(c[0]) for c in ENVELOPE_CASES])
+    def test_exit_code_and_flags(self, tmp_path, argv, code, flags):
+        assert cli_main([*argv, "--seed", "7", "--out", str(tmp_path)]) == code
+        (rec,) = RunStore(str(tmp_path)).records()
+        assert rec.flags == flags
+        metric = "_".join(argv[:2]) if argv[0] == "coherence" else argv[0]
+        assert rec.metric == metric and rec.seed == 7
+
+    @pytest.mark.parametrize("argv", [c[0] for c in ENVELOPE_CASES],
+                             ids=[" ".join(c[0]) for c in ENVELOPE_CASES])
+    def test_record_is_stamped_in_utc(self, tmp_path, argv):
+        cli_main([*argv, "--out", str(tmp_path)])
+        (rec,) = RunStore(str(tmp_path)).records()
+        started = datetime.fromisoformat(rec.started_at)
+        finished = datetime.fromisoformat(rec.finished_at)
+        assert started.utcoffset().total_seconds() == 0
+        assert started <= finished
+
+    def test_failed_run_writes_no_record(self, tmp_path, monkeypatch):
+        def lost(*args, **kwargs):
+            raise ValueError("device lost")
+
+        monkeypatch.setattr(cli, "run_rb", lost)
+        assert cli_main(["rb", "--qubit", "0", "--out", str(tmp_path)]) == EXIT_METRIC_INVALID
+        assert RunStore(str(tmp_path)).records() == []
+
+
 class TestCountArguments:
     """Counts must be positive integers; anything else is a usage error."""
 
@@ -125,9 +185,10 @@ class TestCountArguments:
     def test_readout_shots(self, tmp_path, monkeypatch, given, used):
         seen = []
 
-        def spy(backend, shots, seed):
-            seen.append(shots)
-            return measure_readout(backend, shots=shots, seed=seed)
+        def spy(backend, **kwargs):
+            res = measure_readout(backend, **kwargs)
+            seen.append(res.shots)
+            return res
 
         monkeypatch.setattr(cli, "measure_readout", spy)
         extra = [] if given is None else ["--shots", given]

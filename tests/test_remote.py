@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -229,6 +230,22 @@ class _StatusHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+
+
+class WideBackend(CannedBackend):
+    """Answers with a 64-qubit reply, one bit wider than an outcome index holds."""
+
+    @property
+    def n_qubits(self) -> int:
+        return 64
+
+
+def test_reply_wider_than_a_register_is_backend_error():
+    reply = SimpleNamespace(counts={"1" + "0" * 63: 10})
+    with MockServer(WideBackend([reply])) as srv:
+        backend = RemoteBackend(srv.url, n_qubits=64)
+        with pytest.raises(BackendError, match="malformed.*at most 63 qubits"):
+            backend.run([Circuit(64, (x(0), measure_all()))], 10, seed=1)
 
 
 class TestSubmitErrors:

@@ -17,6 +17,11 @@ The calibrate digest (RB, T1/T2*/T2 echo, readout and crosstalk) was
 recorded before the density path multiplied long pending chains pairwise
 and cached layer maps across circuits, and before the outcome draw left
 ``Generator.choice`` for the same inverse CDF; both must leave it as it is.
+
+The rb, readout, coherence and stability digests were recorded before the
+command line stopped restating shot counts and coherence scan lengths:
+with ``--shots`` unset (or given, for rb and stability) each run must
+still get the same counts and scans from the library's defaults.
 """
 import hashlib
 
@@ -37,6 +42,17 @@ GOLDEN = {
                "efcb3f6d6d11d3d79327f8d231ba2bbb78115d591b1cd9b274e4b69d135ef2af"),
     "calibrate": (["--device", "starmon5"],
                   "8d52475cc1c78630aeaac9e79c9fc7a801c8fe16a29d6e0c6d80857dae1faec6"),
+    "rb": (["--qubit", "1", "--shots", "512"],
+           "93010e533b714df3961389ea90e87e739a7fa7932b0f88aba2949e4d3d2d90b5"),
+    "readout": ([], "0f91364eefe89c5721f3f2b7bb967d00957824a322bfa4606543701a7984f12e"),
+    "coherence t1": (["--qubit", "0"],
+                     "cc535b4fdc0f95acc9d96a135622d56d3cb0edb16e221717cde5165694630553"),
+    "coherence t2star": (["--qubit", "1"],
+                         "c11965fc9e58dab8653795220b7ab690b861a6d74d5e54db12082c399d302181"),
+    "coherence t2hahn": (["--qubit", "3"],
+                         "5c04f7153ed7332c6951a2cf39c657dc4a725b48466338cb1a1180c6e06a2a47"),
+    "stability": (["--repeats", "3", "--shots", "256"],
+                  "977bbf698792689606595c4fd07444a53f648c72a5ec77a433600fb5cd6a6dec"),
 }
 
 # appsuite scalars recorded before the scalar 2x2 maps, at the pinned settings
@@ -53,7 +69,7 @@ APPSUITE_BEFORE = {
 @pytest.mark.parametrize("metric", sorted(GOLDEN))
 def test_scalars_digest_is_pinned(metric, tmp_path):
     args, digest = GOLDEN[metric]
-    assert cli_main([metric, *args, "--seed", "7", "--out", str(tmp_path)]) == EXIT_OK
+    assert cli_main([*metric.split(), *args, "--seed", "7", "--out", str(tmp_path)]) == EXIT_OK
     (record,) = RunStore(str(tmp_path)).records()
     assert hashlib.sha256(scalar_section_json(record).encode()).hexdigest() == digest
 

@@ -12,6 +12,7 @@ from density_oracle import OracleDensity, idle_kraus
 from helpers import probabilities_dict, total_variation_distance
 from qbench.circuits import Circuit, cz, measure_all, wait, x, x90, y90
 from qbench.cliffords import X90_MAT, X_MAT, Y90_MAT
+from qbench import simulator
 from qbench.device import DeviceModel, QubitParams, ideal_device
 from qbench.simulator import (
     _PULSE_SUPEROPS,
@@ -244,6 +245,39 @@ class TestNoisy:
         assert peak < 2**20
         assert table.shots == 5 and sum(table.counts.values()) == 5
         assert all(len(key) == 40 for key in table.counts)
+
+
+class TestRegisterWidth:
+    """Outcome indices are int64, so a register holds at most 63 qubits."""
+
+    def test_widest_register_decodes(self):
+        table = run_noisy(Circuit(63, (x(0), measure_all())), ideal_device(63), 3, seed=1)
+        assert table.counts == {"1" + "0" * 62: 3}
+        assert table.marginal((0, 62)).tolist() == [0, 0, 3, 0]
+
+    @pytest.mark.parametrize("n", [64, 70])
+    def test_wider_register_fails_loudly(self, n):
+        with pytest.raises(ValueError, match="at most 63 qubits"):
+            run_noisy(Circuit(n, (x(0), measure_all())), ideal_device(n), 3, seed=1)
+
+    @pytest.mark.parametrize("n", [64, 70])
+    def test_wider_table_is_rejected(self, n):
+        with pytest.raises(ValueError, match="at most 63 qubits"):
+            ShotTable(counts={"1" + "0" * (n - 1): 3}, shots=3, n_qubits=n)
+
+
+class TestPureNormCheck:
+    """Both pure-state callers check the norm, and a NaN fails the check."""
+
+    @pytest.mark.parametrize("scale", [1.1, 0.0, np.nan])
+    def test_unnormalized_state_raises(self, monkeypatch, scale):
+        evolve = simulator._evolve
+        monkeypatch.setattr(simulator, "_evolve", lambda *args: evolve(*args) * scale)
+        circuit = Circuit(2, (x90(0), cz(0, 1), measure_all()))
+        with pytest.raises(RuntimeError, match="norm drifted"):
+            run_ideal(circuit)
+        with pytest.raises(RuntimeError, match="norm drifted"):
+            run_noisy(circuit, ideal_device(2), 10, seed=1)
 
 
 class TestDensityInvariants:
