@@ -156,7 +156,10 @@ class TimeBudgetExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class QAOAConfig:
+class QScoreConfig:
+    sizes: tuple[int, ...] = (2, 3, 4, 5)
+    graphs_per_size: int = 5
+    time_limit_s: float = 60.0
     shots: int = 1024
     max_evaluations: int = 75
 
@@ -253,7 +256,7 @@ def _nelder_mead_max(fn, x0: np.ndarray, spread: float, max_evals: int,
 def qaoa_maxcut(
     graph: Graph,
     backend: Backend,
-    cfg: QAOAConfig | None = None,
+    cfg: QScoreConfig = QScoreConfig(),
     seed: int = 0,
     time_budget_s: float | None = None,
 ) -> QAOAResult:
@@ -263,9 +266,8 @@ def qaoa_maxcut(
     The objective per evaluation is the mean cut over the sampled outcomes,
     :func:`cut_values` against the ``ShotTable.marginal`` counts; the
     simplex search maximizes it, keeping the best sampled cut ever observed
-    on the side.
+    on the side.  Of ``cfg`` it reads ``shots`` and ``max_evaluations``.
     """
-    cfg = cfg or QAOAConfig()
     if graph.n_nodes > backend.n_qubits:
         raise ValueError("graph does not fit the backend")
     start = time.perf_counter()
@@ -341,15 +343,6 @@ def qaoa_maxcut(
 
 
 @dataclass(frozen=True)
-class QScoreConfig:
-    sizes: tuple[int, ...] = (2, 3, 4, 5)
-    graphs_per_size: int = 5
-    time_limit_s: float = 60.0
-    shots: int = 1024
-    max_evaluations: int = 75
-
-
-@dataclass(frozen=True)
 class QScoreSizeResult:
     size: int
     beta: float
@@ -368,7 +361,7 @@ class QScoreResult:
     flag: str | None
 
 
-def run_qscore(backend: Backend, cfg: QScoreConfig | None = None, seed: int = 0) -> QScoreResult:
+def run_qscore(backend: Backend, cfg: QScoreConfig = QScoreConfig(), seed: int = 0) -> QScoreResult:
     """Largest graph size whose normalized average cut clears the threshold.
 
     beta(N) = (C - R) / (O - R) with C the mean best sampled-average cut,
@@ -378,7 +371,6 @@ def run_qscore(backend: Backend, cfg: QScoreConfig | None = None, seed: int = 0)
     is not run: it fails with the flag ``exceeds_backend``, so the score
     comes from the sizes that fit.
     """
-    cfg = cfg or QScoreConfig()
     if list(cfg.sizes) != sorted(cfg.sizes):
         raise ValueError("sizes must be ascending")
     per_size = []
@@ -406,7 +398,7 @@ def run_qscore(backend: Backend, cfg: QScoreConfig | None = None, seed: int = 0)
                 res = qaoa_maxcut(
                     graph,
                     backend,
-                    QAOAConfig(shots=cfg.shots, max_evaluations=cfg.max_evaluations),
+                    cfg,
                     seed=seed * 991 + n * 13 + g_idx,
                     time_budget_s=budget_each,
                 )
@@ -451,6 +443,13 @@ def run_qscore(backend: Backend, cfg: QScoreConfig | None = None, seed: int = 0)
 # --- three-algorithm volumetric suite ----------------------------------------------
 
 _VARIANTS_PER_CELL = 3  # hidden strings and Fourier basis states per width
+
+
+@dataclass(frozen=True)
+class AppSuiteConfig:
+    max_width: int = 5  # widths run from 2 up to this one
+    shots: int = 1024
+
 
 @dataclass(frozen=True)
 class VolumetricCell:
@@ -555,16 +554,13 @@ def qft_roundtrip_circuit(n: int, basis_state: int) -> Circuit:
 
 
 def run_app_suite(
-    backend: Backend,
-    widths: tuple[int, ...] = (2, 3, 4, 5),
-    shots: int = 1024,
-    seed: int = 0,
+    backend: Backend, cfg: AppSuiteConfig = AppSuiteConfig(), seed: int = 0
 ) -> list[VolumetricCell]:
     """Fidelity per (algorithm, width) cell, depth taken from compiled circuits."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA9]))
     order = backend.preferred_qubit_order()
     cells: list[VolumetricCell] = []
-    for width in widths:
+    for width in range(2, cfg.max_width + 1):
         if width > backend.n_qubits:
             cells.extend(
                 VolumetricCell(alg, width, 0, 0.0, skipped_reason="width exceeds backend")
@@ -593,8 +589,8 @@ def run_app_suite(
                 routed = route_ops(list(physical.ops), backend.connectivity)
                 physical = Circuit(backend.n_qubits, tuple(routed), label=physical.label)
                 depth = max(depth, physical.depth())
-                (table,) = submit_and_wait(backend, [physical], shots, seed=seed * 17 + width)
-                measured = table.marginal(positions) / shots
+                (table,) = submit_and_wait(backend, [physical], cfg.shots, seed=seed * 17 + width)
+                measured = table.marginal(positions) / cfg.shots
                 fids.append(normalized_fidelity(ideal, measured))
             cells.append(
                 VolumetricCell(

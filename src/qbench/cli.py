@@ -1,18 +1,18 @@
 """Command-line entry point orchestrating metric runs.
 
     qbench <metric> [--backend sim|remote] [--device MODEL] [--seed N]
-                    [--shots N] [--out DIR] [--time-limit S] ...
+                    [--shots N] [--out DIR] ...
 
 Metrics: calibrate, rb, readout, crosstalk, coherence {t1,t2star,t2hahn},
 qv, clops, stability, qscore, appsuite, report.  --device takes a JSON
 model path or the built-in names "starmon5" and "ideal".
 
-Every metric run writes one record, built in ``cli_main``: the metric
-name, the parsed options, the backend's metadata, the seed and the UTC
-start and finish times.  Each ``cmd_*`` function only fills in its scalars,
-flags, timing and raw references; a run that raises writes no record.  An
-unset ``--shots`` passes no shot count, so each protocol runs at the
-library's own default, and each coherence experiment owns its wait scan.
+Each metric runs one frozen library config built from the protocol options
+given; each defaults to None and sets the config field its ``dest`` names.
+One record per run, built in ``cli_main``: the metric, the config plus the
+run's inputs (device source, ``--qubit``, ``clops --qv``), the backend's
+metadata, the seed and UTC start and finish times; ``cmd_*`` adds scalars,
+flags, timing and raw references.  A run that raises writes no record.
 
 Exit codes: 0 success; 1 metric invalid, which is a record carrying any
 flag other than a ``*_skipped`` one (a flagged fit, no passing depth or
@@ -21,17 +21,21 @@ size) or a run that raised a backend or value error; 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .application import QScoreConfig, run_app_suite, run_qscore, volumetric_csv
+from .application import AppSuiteConfig, QScoreConfig, run_app_suite, run_qscore, volumetric_csv
 from .backends import Backend, BackendError, LocalSimBackend
 from .component import (
+    CalibrationConfig,
     CoherenceConfig,
+    CrosstalkConfig,
     RBConfig,
+    ReadoutConfig,
     measure_crosstalk,
     measure_readout,
     run_calibration,
@@ -45,9 +49,9 @@ from .remote import RemoteBackend
 from .reporting import (MetricReport, RunStore, emit_report, scalar, utc_now, write_summary,
                         write_volumetric_csv)
 from .system import (
-    STABILITY_MIN_REPEATS,
     CLOPSConfig,
     QVConfig,
+    StabilityConfig,
     run_clops,
     run_quantum_volume,
     run_stability,
@@ -66,15 +70,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-def stability_repeats(text: str) -> int:
-    """argparse type for ``--repeats``: a relative spread needs three points."""
-    value = int(text)
-    if value < STABILITY_MIN_REPEATS:
-        raise argparse.ArgumentTypeError(
-            f"must be at least {STABILITY_MIN_REPEATS}, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qbench", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qbench {__version__}")
@@ -88,32 +83,32 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--remote-url", default="http://127.0.0.1:8000")
     common.add_argument("--remote-qubits", type=positive_int, default=5)
     common.add_argument("--seed", type=int, default=1234)
-    common.add_argument("--shots", type=positive_int, default=None)
+    common.add_argument("--shots", type=positive_int)
     common.add_argument("--out", default="qbench-runs")
-    common.add_argument("--time-limit", type=float, default=60.0)
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("calibrate", parents=[common])
     p_rb = sub.add_parser("rb", parents=[common])
-    p_rb.add_argument("--qubit", type=int, default=None, help="default: all qubits")
+    p_rb.add_argument("--qubit", type=int, help="default: all qubits")
     sub.add_parser("readout", parents=[common])
     sub.add_parser("crosstalk", parents=[common])
     p_coh = sub.add_parser("coherence", parents=[common])
     p_coh.add_argument("kind", choices=("t1", "t2star", "t2hahn"))
-    p_coh.add_argument("--qubit", type=int, default=None)
+    p_coh.add_argument("--qubit", type=int)
     p_qv = sub.add_parser("qv", parents=[common])
-    p_qv.add_argument("--max-width", type=positive_int, default=None)
-    p_qv.add_argument("--circuits", type=positive_int, default=100)
+    p_qv.add_argument("--max-width", type=positive_int)
+    p_qv.add_argument("--circuits", dest="n_circuits", type=positive_int)
     p_clops = sub.add_parser("clops", parents=[common])
     p_clops.add_argument("--qv", type=positive_int, default=4, help="measured quantum volume")
-    p_clops.add_argument("--templates", type=positive_int, default=100)
-    p_clops.add_argument("--updates", type=positive_int, default=10)
+    p_clops.add_argument("--templates", dest="m_templates", type=positive_int)
+    p_clops.add_argument("--updates", dest="k_updates", type=positive_int)
     p_stab = sub.add_parser("stability", parents=[common])
-    p_stab.add_argument("--repeats", type=stability_repeats, default=5)
-    p_stab.add_argument("--interval", type=float, default=3600.0)
-    sub.add_parser("qscore", parents=[common])
+    p_stab.add_argument("--repeats", type=int)
+    p_stab.add_argument("--interval", dest="interval_s", type=float)
+    p_qscore = sub.add_parser("qscore", parents=[common])
+    p_qscore.add_argument("--time-limit", dest="time_limit_s", type=float)
     p_app = sub.add_parser("appsuite", parents=[common])
-    p_app.add_argument("--max-width", type=positive_int, default=5)
+    p_app.add_argument("--max-width", type=positive_int)
     sub.add_parser("report", parents=[common])
     return parser
 
@@ -130,21 +125,14 @@ def make_backend(args: argparse.Namespace) -> Backend:
     return LocalSimBackend(model, drift_seed=args.seed)
 
 
-def _given_shots(args: argparse.Namespace) -> dict:
-    """``shots`` as a keyword when ``--shots`` is given, so an unset one
-    leaves the library's protocol default in place."""
-    return {} if args.shots is None else {"shots": args.shots}
-
-
 def _qubits(args: argparse.Namespace, backend: Backend) -> list[int]:
     q = getattr(args, "qubit", None)
     return list(range(backend.n_qubits)) if q is None else [q]
 
 
-def cmd_rb(args, backend, rep, store) -> None:
-    cfg = RBConfig(seed=args.seed, **_given_shots(args))
+def cmd_rb(args, backend, cfg, rep, store) -> None:
     for q in _qubits(args, backend):
-        res = run_rb(backend, cfg, q)
+        res = run_rb(backend, cfg, q, seed=args.seed)
         rep.scalars[f"f1q_q{q}"] = scalar(res.f1q * 100, "percent")
         rep.scalars[f"epc_q{q}"] = scalar(res.epc, "error_per_clifford")
         if not res.valid:
@@ -153,15 +141,15 @@ def cmd_rb(args, backend, rep, store) -> None:
               + ("  [invalid]" if not res.valid else ""))
 
 
-def cmd_readout(args, backend, rep, store) -> None:
-    res = measure_readout(backend, seed=args.seed, **_given_shots(args))
+def cmd_readout(args, backend, cfg, rep, store) -> None:
+    res = measure_readout(backend, cfg, seed=args.seed)
     for q in range(backend.n_qubits):
         rep.scalars[f"fro_q{q}"] = scalar(res.fidelity(q) * 100, "percent")
         print(f"readout q{q}: F_RO = {res.fidelity(q) * 100:.2f}%")
 
 
-def cmd_crosstalk(args, backend, rep, store) -> None:
-    res = measure_crosstalk(backend, seed=args.seed, **_given_shots(args))
+def cmd_crosstalk(args, backend, cfg, rep, store) -> None:
+    res = measure_crosstalk(backend, cfg, seed=args.seed)
     rep.scalars["max_row_l1"] = scalar(res.max_row_l1, "l1_distance")
     rep.scalars["max_row_offdiag"] = scalar(res.max_row_offdiag, "probability")
     rep.raw_refs.append(
@@ -170,21 +158,20 @@ def cmd_crosstalk(args, backend, rep, store) -> None:
     print(f"crosstalk: max row L1 vs independent model = {res.max_row_l1:.4f}")
 
 
-def cmd_coherence(args, backend, rep, store) -> None:
+def cmd_coherence(args, backend, cfg, rep, store) -> None:
     experiment = {
         "t1": t1_experiment, "t2star": t2star_experiment, "t2hahn": t2hahn_experiment,
     }[args.kind]
-    cfg = CoherenceConfig(seed=args.seed, **_given_shots(args))
     for q in _qubits(args, backend):
-        res = experiment(backend, q, cfg)
+        res = experiment(backend, q, cfg, seed=args.seed)
         rep.scalars[f"{args.kind}_q{q}"] = scalar(res.time_us, "microsecond")
         if not res.valid:
             rep.flags.append(f"q{q}_fit_invalid")
         print(f"{args.kind} q{q}: {res.time_us:.2f} us" + ("  [invalid]" if not res.valid else ""))
 
 
-def cmd_calibrate(args, backend, rep, store) -> None:
-    summary = run_calibration(backend, seed=args.seed, **_given_shots(args))
+def cmd_calibrate(args, backend, cfg, rep, store) -> None:
+    summary = run_calibration(backend, cfg, seed=args.seed)
     for q in range(backend.n_qubits):
         rep.scalars[f"f1q_q{q}"] = scalar(summary.rb[q].f1q * 100, "percent")
         rep.scalars[f"fro_q{q}"] = scalar(summary.readout.fidelity(q) * 100, "percent")
@@ -211,10 +198,8 @@ def cmd_calibrate(args, backend, rep, store) -> None:
     print(f"Q-factor = {summary.q_factor:.1f}")
 
 
-def cmd_qv(args, backend, rep, store) -> None:
-    cfg = QVConfig(n_circuits=args.circuits, max_width=args.max_width, seed=args.seed,
-                   **_given_shots(args))
-    res = run_quantum_volume(backend, cfg)
+def cmd_qv(args, backend, cfg, rep, store) -> None:
+    res = run_quantum_volume(backend, cfg, seed=args.seed)
     rep.scalars["quantum_volume"] = scalar(res.qv, "dimensionless")
     for d in res.per_depth:
         rep.scalars[f"heavy_fraction_d{d.depth}"] = scalar(d.heavy_fraction, "fraction")
@@ -226,8 +211,7 @@ def cmd_qv(args, backend, rep, store) -> None:
               f"(2-sigma {2 * d.sigma:.3f}) {'pass' if d.passed else 'fail'}")
 
 
-def cmd_clops(args, backend, rep, store) -> None:
-    cfg = CLOPSConfig(m_templates=args.templates, k_updates=args.updates, **_given_shots(args))
+def cmd_clops(args, backend, cfg, rep, store) -> None:
     res = run_clops(backend, cfg, measured_qv=args.qv, seed=args.seed)
     rep.scalars["clops"] = scalar(res.clops, "layer_ops_per_second")
     rep.scalars["layers_d"] = scalar(res.d, "layers")
@@ -239,9 +223,8 @@ def cmd_clops(args, backend, rep, store) -> None:
     print(f"CLOPS = {res.clops:.1f} (D={res.d}, T_total={res.t_total_s:.3f}s)")
 
 
-def cmd_stability(args, backend, rep, store) -> None:
-    res = run_stability(backend, repeats=args.repeats, interval_s=args.interval,
-                        cfg=CoherenceConfig(seed=args.seed, **_given_shots(args)))
+def cmd_stability(args, backend, cfg, rep, store) -> None:
+    res = run_stability(backend, cfg, seed=args.seed)
     finite = [v for v in res.relative_std if np.isfinite(v)]
     rep.scalars["max_rel_std"] = scalar(max(finite) if finite else float("nan"), "fraction")
     for q, rs in enumerate(res.relative_std):
@@ -250,8 +233,7 @@ def cmd_stability(args, backend, rep, store) -> None:
     rep.scalars["flagged_points"] = scalar(res.flagged, "count")
 
 
-def cmd_qscore(args, backend, rep, store) -> None:
-    cfg = QScoreConfig(time_limit_s=args.time_limit, **_given_shots(args))
+def cmd_qscore(args, backend, cfg, rep, store) -> None:
     res = run_qscore(backend, cfg, seed=args.seed)
     rep.scalars["qscore"] = scalar(res.qscore, "graph_size")
     for r in res.per_size:
@@ -268,9 +250,8 @@ def cmd_qscore(args, backend, rep, store) -> None:
     print(f"Q-score = {res.qscore}" + (f"  [{res.flag}]" if res.flag else ""))
 
 
-def cmd_appsuite(args, backend, rep, store) -> None:
-    widths = tuple(range(2, args.max_width + 1))
-    cells = run_app_suite(backend, widths=widths, seed=args.seed, **_given_shots(args))
+def cmd_appsuite(args, backend, cfg, rep, store) -> None:
+    cells = run_app_suite(backend, cfg, seed=args.seed)
     for c in cells:
         if c.skipped_reason:
             rep.flags.append(f"{c.algorithm}_w{c.width}_skipped")
@@ -288,24 +269,40 @@ def cmd_report(store: RunStore) -> None:
 
 
 _COMMANDS = {
-    "calibrate": cmd_calibrate,
-    "rb": cmd_rb,
-    "readout": cmd_readout,
-    "crosstalk": cmd_crosstalk,
-    "coherence": cmd_coherence,
-    "qv": cmd_qv,
-    "clops": cmd_clops,
-    "stability": cmd_stability,
-    "qscore": cmd_qscore,
-    "appsuite": cmd_appsuite,
+    "calibrate": (cmd_calibrate, CalibrationConfig),
+    "rb": (cmd_rb, RBConfig),
+    "readout": (cmd_readout, ReadoutConfig),
+    "crosstalk": (cmd_crosstalk, CrosstalkConfig),
+    "coherence": (cmd_coherence, CoherenceConfig),
+    "qv": (cmd_qv, QVConfig),
+    "clops": (cmd_clops, CLOPSConfig),
+    "stability": (cmd_stability, StabilityConfig),
+    "qscore": (cmd_qscore, QScoreConfig),
+    "appsuite": (cmd_appsuite, AppSuiteConfig),
 }
 # a run that raises one of these writes no record and exits EXIT_METRIC_INVALID
 _RUN_ERRORS = (BackendError, ValueError, KeyError, OSError)
 
 
-def _run_failed(err: Exception) -> int:
-    print(f"error: {err}", file=sys.stderr)
-    return EXIT_METRIC_INVALID
+def resolve_config(args: argparse.Namespace):
+    """The metric's library config from the options given; an unset one keeps its default."""
+    config_type = _COMMANDS[args.command][1]
+    return config_type(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config_type)
+                          if getattr(args, f.name, None) is not None})
+
+
+def _run_inputs(args: argparse.Namespace) -> dict:
+    """The options a record states beside its config: the device source and the run's targets."""
+    names = ["backend", "qubit", "qv"]
+    names += ["remote_url", "remote_qubits"] if args.backend == "remote" else ["device"]
+    if args.backend == "sim" and args.device == "ideal":
+        names.append("ideal_width")
+    return {k: getattr(args, k) for k in names if hasattr(args, k)}
+
+
+def _error(message: object, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def cli_main(argv: list[str] | None = None) -> int:
@@ -318,35 +315,35 @@ def cli_main(argv: list[str] | None = None) -> int:
         try:
             cmd_report(RunStore(args.out))
         except _RUN_ERRORS as err:
-            return _run_failed(err)
+            return _error(err, EXIT_METRIC_INVALID)
         return EXIT_OK
+    try:
+        cfg = resolve_config(args)
+    except ValueError as err:  # a value the protocol rejects, such as too few repeats
+        return _error(err, EXIT_USAGE)
     try:
         backend = make_backend(args)
     except (ValueError, KeyError, TypeError, OSError) as err:
-        print(f"error: bad --device: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"bad --device: {err}", EXIT_USAGE)
     qubit = getattr(args, "qubit", None)
     if qubit is not None and not 0 <= qubit < backend.n_qubits:
-        print(f"error: --qubit {qubit} out of range for {backend.n_qubits} qubits",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"--qubit {qubit} out of range for {backend.n_qubits} qubits", EXIT_USAGE)
     # the one run envelope: build the record, let the command fill it in, store it
     try:
         store = RunStore(args.out)
         rep = MetricReport(
             metric=f"coherence_{args.kind}" if args.command == "coherence" else args.command,
-            config={k: v for k, v in vars(args).items()
-                    if k != "command" and not k.startswith("_")},
+            config={**dataclasses.asdict(cfg), **_run_inputs(args)},
             backend=backend.metadata(),
             scalars={},
             seed=args.seed,
             started_at=utc_now(),
         )
-        _COMMANDS[args.command](args, backend, rep, store)
+        _COMMANDS[args.command][0](args, backend, cfg, rep, store)
         rep.finished_at = utc_now()
         store.append(rep)
     except _RUN_ERRORS as err:
-        return _run_failed(err)
+        return _error(err, EXIT_METRIC_INVALID)
     invalid = any(not flag.endswith("_skipped") for flag in rep.flags)
     return EXIT_METRIC_INVALID if invalid else EXIT_OK
 

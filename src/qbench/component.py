@@ -39,7 +39,6 @@ class RBConfig:
     lengths: tuple[int, ...] = (1, 20, 40, 80, 120)
     sequences_per_length: int = 10
     shots: int = 4096
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,21 @@ class CoherenceConfig:
     max_wait_us: float | None = None
     detuning_mhz: float = 0.125
     shots: int = 4096
-    seed: int = 0
+
+
+@dataclass(frozen=True)
+class ReadoutConfig:
+    shots: int = 4096
+
+
+@dataclass(frozen=True)
+class CrosstalkConfig:
+    shots: int = 16384
+
+
+@dataclass(frozen=True)
+class CalibrationConfig:
+    shots: int = 4096  # of RB, coherence and readout; crosstalk runs at its own default
 
 
 _N_WAITS = 32  # points of every coherence scan
@@ -61,9 +74,9 @@ _MAX_WAIT_US = {"t1": T1_MAX_WAIT_US, "t2star": T2STAR_MAX_WAIT_US, "t2hahn": T2
 
 # --- randomized benchmarking --------------------------------------------------
 
-def gen_rb_sequences(cfg: RBConfig, qubit: int, n_qubits: int) -> list[Circuit]:
+def gen_rb_sequences(cfg: RBConfig, qubit: int, n_qubits: int, seed: int = 0) -> list[Circuit]:
     """Random Clifford sequences with their closing inverse, one per (length, rep)."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, qubit, 0x5B]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, qubit, 0x5B]))
     table = [e.to_ops(qubit) for e in cliffords.ELEMENTS]  # Gate is frozen: share the tuples
     circuits = []
     for n_cliff in cfg.lengths:
@@ -101,9 +114,9 @@ def f1q_from_epc(epc: float) -> float:
     return (1.0 - epc) ** (1.0 / cliffords.AVG_PULSES_PER_CLIFFORD)
 
 
-def run_rb(backend: Backend, cfg: RBConfig, qubit: int) -> RBResult:
-    circuits = gen_rb_sequences(cfg, qubit, backend.n_qubits)
-    tables = submit_and_wait(backend, circuits, cfg.shots, cfg.seed)
+def run_rb(backend: Backend, cfg: RBConfig, qubit: int, seed: int = 0) -> RBResult:
+    circuits = gen_rb_sequences(cfg, qubit, backend.n_qubits, seed)
+    tables = submit_and_wait(backend, circuits, cfg.shots, seed)
     per_length: dict[int, list[float]] = {n: [] for n in cfg.lengths}
     i = 0
     for n_cliff in cfg.lengths:
@@ -141,7 +154,6 @@ class ReadoutAssignment:
     """Per-qubit confusion matrices."""
 
     per_qubit: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
-    shots: int
 
     def fidelity(self, qubit: int) -> float:
         m = self.per_qubit[qubit]
@@ -159,18 +171,18 @@ def _basis_prep_circuit(n_qubits: int, bits: int) -> Circuit:
     return Circuit(n_qubits, tuple(ops), label=f"prep_{index_to_bitstring(bits, n_qubits)}")
 
 
-def measure_readout(backend: Backend, shots: int = 4096, seed: int = 0) -> ReadoutAssignment:
+def measure_readout(backend: Backend, cfg: ReadoutConfig, seed: int = 0) -> ReadoutAssignment:
     """Estimate per-qubit assignment matrices from all-zeros and all-ones preps."""
     n = backend.n_qubits
     zeros = _basis_prep_circuit(n, 0)
     ones = _basis_prep_circuit(n, 2**n - 1)
-    t0, t1 = submit_and_wait(backend, [zeros, ones], shots, seed)
+    t0, t1 = submit_and_wait(backend, [zeros, ones], cfg.shots, seed)
     per_qubit = []
     for q in range(n):
         m01 = t0.fraction_ones(q)
         m10 = 1.0 - t1.fraction_ones(q)
         per_qubit.append(((1.0 - m01, m01), (m10, 1.0 - m10)))
-    return ReadoutAssignment(per_qubit=tuple(per_qubit), shots=shots)
+    return ReadoutAssignment(per_qubit=tuple(per_qubit))
 
 
 @dataclass(frozen=True)
@@ -179,10 +191,9 @@ class CrosstalkResult:
     tensor_prediction: np.ndarray
     max_row_l1: float
     max_row_offdiag: float
-    shots: int
 
 
-def measure_crosstalk(backend: Backend, shots: int = 16384, seed: int = 0) -> CrosstalkResult:
+def measure_crosstalk(backend: Backend, cfg: CrosstalkConfig, seed: int = 0) -> CrosstalkResult:
     """Full-register assignment matrix from every joint basis-state preparation.
 
     The independent-readout prediction is the tensor product of per-qubit
@@ -196,9 +207,9 @@ def measure_crosstalk(backend: Backend, shots: int = 16384, seed: int = 0) -> Cr
         )
     dim = 2**n
     circuits = [_basis_prep_circuit(n, b) for b in range(dim)]
-    tables = submit_and_wait(backend, circuits, shots, seed)
+    tables = submit_and_wait(backend, circuits, cfg.shots, seed)
 
-    matrix = np.array([t.marginal(range(n)) / shots for t in tables])
+    matrix = np.array([t.marginal(range(n)) / cfg.shots for t in tables])
 
     # per-qubit matrices from marginals over every preparation
     per_qubit = np.zeros((n, 2, 2))
@@ -225,7 +236,6 @@ def measure_crosstalk(backend: Backend, shots: int = 16384, seed: int = 0) -> Cr
         tensor_prediction=prediction,
         max_row_l1=float(l1.max()),
         max_row_offdiag=float(offdiag.max()),
-        shots=shots,
     )
 
 
@@ -249,6 +259,7 @@ def _wait_scan(
     kind: str,
     ops_at: Callable[[float], tuple[Gate, ...]],
     fit: Callable[[DataSeries], FitResult],
+    seed: int,
 ) -> CoherenceResult:
     """Run ``ops_at(wait_us)`` then a measurement at every wait and fit the decay."""
     max_wait_us = _MAX_WAIT_US[kind] if cfg.max_wait_us is None else cfg.max_wait_us
@@ -257,7 +268,7 @@ def _wait_scan(
         Circuit(backend.n_qubits, (*ops_at(t), measure_all()), label=f"{kind}_q{qubit}_{i}")
         for i, t in enumerate(waits)
     ]
-    tables = submit_and_wait(backend, circuits, cfg.shots, cfg.seed)
+    tables = submit_and_wait(backend, circuits, cfg.shots, seed)
     y = [t.fraction_ones(qubit) for t in tables]
     result = fit(DataSeries(waits, np.array(y), shots_per_point=cfg.shots))
     return CoherenceResult(
@@ -271,17 +282,18 @@ def _wait_scan(
     )
 
 
-def t1_experiment(backend: Backend, qubit: int, cfg: CoherenceConfig | None = None) -> CoherenceResult:
+def t1_experiment(backend: Backend, qubit: int, cfg: CoherenceConfig = CoherenceConfig(),
+                  seed: int = 0) -> CoherenceResult:
     """Relaxation: excite, idle for a scanned duration, measure."""
     return _wait_scan(
-        backend, qubit, cfg or CoherenceConfig(), "t1",
+        backend, qubit, cfg, "t1",
         lambda t: (x(qubit), wait(qubit, t * 1000.0)),
-        fit_exp_decay,
+        fit_exp_decay, seed,
     )
 
 
 def t2star_experiment(
-    backend: Backend, qubit: int, cfg: CoherenceConfig | None = None
+    backend: Backend, qubit: int, cfg: CoherenceConfig = CoherenceConfig(), seed: int = 0
 ) -> CoherenceResult:
     """Free-induction dephasing with an artificial detuning.
 
@@ -289,7 +301,6 @@ def t2star_experiment(
     the fitted oscillation frequency is known, which keeps slow dephasing
     from masquerading as a frequency mismatch.
     """
-    cfg = cfg or CoherenceConfig()
     omega = 2 * np.pi * cfg.detuning_mhz  # rad per microsecond
 
     def fit(series: DataSeries) -> FitResult:
@@ -307,18 +318,18 @@ def t2star_experiment(
             rz(qubit, float(omega * t) % (2 * np.pi)),
             x90(qubit),
         ),
-        fit,
+        fit, seed,
     )
 
 
 def t2hahn_experiment(
-    backend: Backend, qubit: int, cfg: CoherenceConfig | None = None
+    backend: Backend, qubit: int, cfg: CoherenceConfig = CoherenceConfig(), seed: int = 0
 ) -> CoherenceResult:
     """Echo: half the wait, one refocusing pulse, the other half."""
     return _wait_scan(
-        backend, qubit, cfg or CoherenceConfig(), "t2hahn",
+        backend, qubit, cfg, "t2hahn",
         lambda t: (x90(qubit), wait(qubit, t * 500.0), x(qubit), wait(qubit, t * 500.0), x90(qubit)),
-        fit_exp_decay,
+        fit_exp_decay, seed,
     )
 
 
@@ -345,30 +356,23 @@ class CalibrationSummary:
 
 
 def run_calibration(
-    backend: Backend,
-    seed: int = 0,
-    rb_cfg: RBConfig | None = None,
-    shots: int = 4096,
-    include_crosstalk: bool = True,
+    backend: Backend, cfg: CalibrationConfig = CalibrationConfig(), seed: int = 0
 ) -> CalibrationSummary:
-    """Every component metric for every qubit, at the standard settings.
-
-    Crosstalk is skipped (``crosstalk`` is None) when ``include_crosstalk``
-    is off or the backend is wider than the crosstalk cap.
-    """
+    """Every component metric for every qubit at ``cfg.shots``; crosstalk runs at
+    its own default and is skipped (None) on backends wider than its cap."""
     n = backend.n_qubits
-    rb_cfg = rb_cfg or RBConfig(shots=shots, seed=seed)
-    coh_cfg = CoherenceConfig(shots=shots, seed=seed)
+    rb_cfg = RBConfig(shots=cfg.shots)
+    coh_cfg = CoherenceConfig(shots=cfg.shots)
     rb_results = []
     t1s, t2stars, t2hahns = [], [], []
     for q in range(n):
-        rb_results.append(run_rb(backend, rb_cfg, q))
-        t1s.append(t1_experiment(backend, q, coh_cfg))
-        t2stars.append(t2star_experiment(backend, q, coh_cfg))
-        t2hahns.append(t2hahn_experiment(backend, q, coh_cfg))
-    readout = measure_readout(backend, shots=shots, seed=seed)
-    if include_crosstalk and n <= _CROSSTALK_MAX_QUBITS:
-        crosstalk = measure_crosstalk(backend, seed=seed)
+        rb_results.append(run_rb(backend, rb_cfg, q, seed))
+        t1s.append(t1_experiment(backend, q, coh_cfg, seed))
+        t2stars.append(t2star_experiment(backend, q, coh_cfg, seed))
+        t2hahns.append(t2hahn_experiment(backend, q, coh_cfg, seed))
+    readout = measure_readout(backend, ReadoutConfig(shots=cfg.shots), seed)
+    if n <= _CROSSTALK_MAX_QUBITS:
+        crosstalk = measure_crosstalk(backend, CrosstalkConfig(), seed)
     else:
         crosstalk = None
     valid_t2 = [r.time_us for r in t2stars if r.valid]

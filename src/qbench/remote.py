@@ -34,6 +34,7 @@ from .simulator import ShotTable
 
 # finished jobs the mock server keeps for late retrieval; older ones answer 404
 _FINISHED_JOBS_KEPT = 64
+_JOB_STATUSES = ("queued", "running", "done", "failed")
 
 
 class RemoteBackend(Backend):
@@ -111,11 +112,20 @@ class RemoteBackend(Backend):
         return handle
 
     def status(self, handle: str) -> dict:
+        """The job's status document; any reply but a JSON object with a
+        known ``status`` raises :class:`BackendError`."""
         resp = self._session.get(f"{self.base_url}/jobs/{handle}", timeout=30)
         if resp.status_code == 404:
             raise JobNotFoundError(handle)
-        resp.raise_for_status()
-        return resp.json()
+        if resp.status_code != 200:
+            raise BackendError(f"status of job {handle} failed: {resp.status_code} {resp.text}")
+        try:
+            doc = resp.json()
+        except ValueError as err:  # requests' JSONDecodeError is a ValueError
+            raise BackendError(f"job {handle} status is not JSON: {err}") from err
+        if not isinstance(doc, dict) or doc.get("status") not in _JOB_STATUSES:
+            raise BackendError(f"job {handle} returned a malformed status: {str(doc)[:200]}")
+        return doc
 
     def wait(self, handle: str, timeout_s: float = 60.0) -> dict:
         """Poll until the job is done and return its ``done`` status document."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,7 +131,6 @@ class QVConfig:
     n_circuits: int = 100
     shots: int = 100
     max_width: int | None = None
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ class QVResult:
     flag: str | None
 
 
-def run_quantum_volume(backend: Backend, cfg: QVConfig) -> QVResult:
+def run_quantum_volume(backend: Backend, cfg: QVConfig, seed: int = 0) -> QVResult:
     """Measure the quantum volume over widths 2..max_width."""
     max_width = cfg.max_width or backend.n_qubits
     max_width = min(max_width, backend.n_qubits)
@@ -160,7 +159,7 @@ def run_quantum_volume(backend: Backend, cfg: QVConfig) -> QVResult:
         heavy_sets = []
         circuits = []
         for i in range(cfg.n_circuits):
-            spec = gen_qv_spec(d, seed=cfg.seed * 100003 + d * 1009 + i)
+            spec = gen_qv_spec(d, seed=seed * 100003 + d * 1009 + i)
             heavy_sets.append(heavy_set(ideal_qv_probs(spec)))
             circuits.append(
                 compile_qv_circuit(
@@ -171,7 +170,7 @@ def run_quantum_volume(backend: Backend, cfg: QVConfig) -> QVResult:
                     label=f"qv_d{d}_c{i}",
                 )
             )
-        tables = submit_and_wait(backend, circuits, cfg.shots, seed=cfg.seed * 7919 + d)
+        tables = submit_and_wait(backend, circuits, cfg.shots, seed=seed * 7919 + d)
         positions = tuple(order[:d])
         fractions = [
             int(table.marginal(positions)[hs].sum()) / cfg.shots
@@ -253,9 +252,6 @@ class CLOPSResult:
     t_total_s: float
     t_quantum_s: float
     t_classical_s: float
-    m: int
-    k: int
-    s: int
     d: int
     rounds_completed: int
 
@@ -350,9 +346,6 @@ def run_clops(
         t_total_s=t_total,
         t_quantum_s=t_quantum,
         t_classical_s=t_classical,
-        m=cfg.m_templates,
-        k=cfg.k_updates,
-        s=cfg.shots,
         d=d,
         rounds_completed=rounds_done,
     )
@@ -361,6 +354,17 @@ def run_clops(
 # --- stability -----------------------------------------------------------------
 
 STABILITY_MIN_REPEATS = 3  # fewest repeats a relative spread is reported over
+
+
+@dataclass(frozen=True)
+class StabilityConfig:
+    repeats: int = 5
+    interval_s: float = 3600.0  # backend clock advance before each repeat
+    shots: int = 4096
+
+    def __post_init__(self) -> None:
+        if self.repeats < STABILITY_MIN_REPEATS:
+            raise ValueError(f"stability needs at least {STABILITY_MIN_REPEATS} repeats")
 
 
 @dataclass(frozen=True)
@@ -374,29 +378,25 @@ class StabilityRecord:
 
 def run_stability(
     backend: Backend,
-    repeats: int,
-    interval_s: float,
-    cfg: CoherenceConfig | None = None,
+    cfg: StabilityConfig = StabilityConfig(),
+    seed: int = 0,
     qubits: list[int] | None = None,
 ) -> StabilityRecord:
     """Track the free-induction dephasing time over a scan of repeats.
 
     Unidentifiable fits are excluded from the per-qubit summary and counted.
     """
-    if repeats < STABILITY_MIN_REPEATS:
-        raise ValueError(f"stability needs at least {STABILITY_MIN_REPEATS} repeats")
-    cfg = cfg or CoherenceConfig()
+    coh_cfg = CoherenceConfig(shots=cfg.shots)
     qubits = list(range(backend.n_qubits)) if qubits is None else qubits
     stamps = []
     series: list[list[float]] = [[] for _ in qubits]
     errs: list[list[float]] = [[] for _ in qubits]
     flagged = 0
-    for rep in range(repeats):
-        clock_s = backend.advance_clock(interval_s)
-        stamps.append(rep * interval_s if clock_s is None else clock_s)
+    for rep in range(cfg.repeats):
+        clock_s = backend.advance_clock(cfg.interval_s)
+        stamps.append(rep * cfg.interval_s if clock_s is None else clock_s)
         for qi, q in enumerate(qubits):
-            rep_cfg = replace(cfg, seed=cfg.seed * 997 + rep * 31 + q)
-            res = t2star_experiment(backend, q, rep_cfg)
+            res = t2star_experiment(backend, q, coh_cfg, seed=seed * 997 + rep * 31 + q)
             if res.valid:
                 series[qi].append(res.time_us)
                 errs[qi].append(res.fit.stderr.get("T", float("nan")))

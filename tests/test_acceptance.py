@@ -11,7 +11,6 @@ import numpy as np
 
 from helpers import UniformRandomBackend, heavy_output_mass, scalar_section_json
 from qbench.application import (
-    QAOAConfig,
     QScoreConfig,
     gen_erdos_renyi,
     maxcut_brute,
@@ -22,6 +21,7 @@ from qbench.backends import LocalSimBackend, submit_and_wait
 from qbench.circuits import Circuit, measure_all, x
 from qbench.cli import EXIT_OK, cli_main
 from qbench.component import (
+    CrosstalkConfig,
     epc_from_alpha,
     f1q_from_epc,
     measure_crosstalk,
@@ -29,7 +29,6 @@ from qbench.component import (
     readout_fidelity_from_matrix,
     run_calibration,
 )
-from qbench.component import CoherenceConfig
 from qbench.device import (
     DriftSchedule,
     ideal_device,
@@ -41,6 +40,7 @@ from qbench.reporting import RunStore
 from qbench.serialization import circuit_to_dict
 from qbench.system import (
     QVConfig,
+    StabilityConfig,
     clops_value,
     gen_qv_spec,
     ideal_qv_probs,
@@ -136,24 +136,24 @@ def test_criterion_3_q_factor():
 
 def test_criterion_4_quantum_volume():
     budget = _Budget(600.0)
-    cfg_kwargs = dict(n_circuits=100, shots=100, seed=SEED)
+    cfg_kwargs = dict(n_circuits=100, shots=100)
 
     noiseless = run_quantum_volume(
-        LocalSimBackend(ideal_device(4)), QVConfig(max_width=4, **cfg_kwargs)
+        LocalSimBackend(ideal_device(4)), QVConfig(max_width=4, **cfg_kwargs), seed=SEED
     )
     ok_noiseless = noiseless.qv == 16 and all(
         0.78 <= d.heavy_fraction <= 0.92 for d in noiseless.per_depth
     )
 
     uniform = run_quantum_volume(
-        UniformRandomBackend(4), QVConfig(max_width=4, **cfg_kwargs)
+        UniformRandomBackend(4), QVConfig(max_width=4, **cfg_kwargs), seed=SEED
     )
     ok_uniform = uniform.flag == "no_depth_passed" and all(
         abs(d.heavy_fraction - 0.50) <= 0.03 for d in uniform.per_depth
     )
 
     reference = run_quantum_volume(
-        LocalSimBackend(starmon5_reference_model()), QVConfig(**cfg_kwargs)
+        LocalSimBackend(starmon5_reference_model()), QVConfig(**cfg_kwargs), seed=SEED
     )
     ok_reference = reference.qv in (2, 4)
 
@@ -205,7 +205,7 @@ def test_criterion_6_qscore():
         if not graph.edges:
             good += 1  # zero-edge optimum is trivially reached
             continue
-        qres = qaoa_maxcut(graph, ideal, QAOAConfig(), seed=s)
+        qres = qaoa_maxcut(graph, ideal, QScoreConfig(), seed=s)
         good += qres.best_sampled_cut >= 0.9 * opt
     ok_qaoa = good >= 16
 
@@ -272,11 +272,12 @@ def test_criterion_7_fitting_suite():
 def test_criterion_8_crosstalk():
     budget = _Budget(120.0)
     shots = 16384
-    ideal = measure_crosstalk(LocalSimBackend(ideal_device(5)), shots=shots, seed=SEED)
+    cfg = CrosstalkConfig(shots=shots)
+    ideal = measure_crosstalk(LocalSimBackend(ideal_device(5)), cfg, seed=SEED)
     ok_ideal = ideal.max_row_offdiag < 3.0 / shots
 
     independent = measure_crosstalk(
-        LocalSimBackend(starmon5_reference_model()), shots=shots, seed=SEED
+        LocalSimBackend(starmon5_reference_model()), cfg, seed=SEED
     )
     ok_independent = independent.max_row_l1 < 0.02
 
@@ -323,23 +324,13 @@ def test_criterion_9_determinism(tmp_path):
 
 def test_criterion_10_stability():
     budget = _Budget(300.0)
-    cfg = CoherenceConfig(max_wait_us=24.0, shots=4096, seed=SEED)
+    cfg = StabilityConfig(repeats=5, interval_s=3600.0, shots=4096)
 
-    calm = run_stability(
-        LocalSimBackend(starmon5_reference_model()),
-        repeats=5,
-        interval_s=3600.0,
-        cfg=cfg,
-    )
+    calm = run_stability(LocalSimBackend(starmon5_reference_model()), cfg, seed=SEED)
     ok_calm = calm.flagged == 0 and all(rs < 0.05 for rs in calm.relative_std)
 
     jittery_dev = starmon5_reference_model(drift=DriftSchedule(jitter_sigma=0.1))
-    jittery = run_stability(
-        LocalSimBackend(jittery_dev, drift_seed=SEED),
-        repeats=5,
-        interval_s=3600.0,
-        cfg=cfg,
-    )
+    jittery = run_stability(LocalSimBackend(jittery_dev, drift_seed=SEED), cfg, seed=SEED)
     ok_jitter = all(0.05 <= rs <= 0.2 for rs in jittery.relative_std)
 
     _report(

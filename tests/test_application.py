@@ -13,8 +13,8 @@ from qbench.cliffords import equal_up_to_phase
 from qbench.compile import h_matrix, routed_block, rx_angles, rx_matrix, rzz_ops, su2_ops
 from qbench.device import ideal_device
 from qbench.application import (
+    AppSuiteConfig,
     Graph,
-    QAOAConfig,
     QScoreConfig,
     TimeBudgetExceeded,
     ansatz_angles,
@@ -183,12 +183,12 @@ class TestAnsatz:
 class TestQAOA:
     def test_single_edge_optimal(self, ideal_backend_5):
         g = Graph(2, ((0, 1),))
-        res = qaoa_maxcut(g, ideal_backend_5, QAOAConfig(shots=512), seed=1)
+        res = qaoa_maxcut(g, ideal_backend_5, QScoreConfig(shots=512), seed=1)
         assert res.best_sampled_cut == 1
 
     def test_best_so_far_monotone(self, ideal_backend_5):
         g = gen_erdos_renyi(4, 0.5, seed=7)
-        res = qaoa_maxcut(g, ideal_backend_5, QAOAConfig(shots=256, max_evaluations=30), seed=2)
+        res = qaoa_maxcut(g, ideal_backend_5, QScoreConfig(shots=256, max_evaluations=30), seed=2)
         assert res.best_so_far == sorted(res.best_so_far)
 
     def test_reaches_near_optimum_on_ideal(self, ideal_backend_5):
@@ -199,19 +199,19 @@ class TestQAOA:
                 continue
             total += 1
             opt, _ = maxcut_brute(g)
-            res = qaoa_maxcut(g, ideal_backend_5, QAOAConfig(), seed=s)
+            res = qaoa_maxcut(g, ideal_backend_5, QScoreConfig(), seed=s)
             good += res.best_sampled_cut >= 0.9 * opt
         assert good >= 0.8 * total
 
     def test_budget_exhausted_before_first_eval(self, ideal_backend_5):
         g = Graph(2, ((0, 1),))
         with pytest.raises(TimeBudgetExceeded):
-            qaoa_maxcut(g, ideal_backend_5, QAOAConfig(), seed=1, time_budget_s=0.0)
+            qaoa_maxcut(g, ideal_backend_5, QScoreConfig(), seed=1, time_budget_s=0.0)
 
     def test_graph_too_wide(self):
         be = LocalSimBackend(ideal_device(2))
         with pytest.raises(ValueError):
-            qaoa_maxcut(gen_erdos_renyi(3, 0.5, seed=1), be, QAOAConfig(), seed=1)
+            qaoa_maxcut(gen_erdos_renyi(3, 0.5, seed=1), be, QScoreConfig(), seed=1)
 
 
 class TestQScore:
@@ -310,31 +310,31 @@ class TestAlgorithms:
             assert probs[int(state)] == pytest.approx(1.0, abs=1e-9)
 
     def test_suite_ideal_fidelities_are_one(self, ideal_backend_5):
-        cells = run_app_suite(ideal_backend_5, widths=(2, 3), shots=512, seed=4)
+        cells = run_app_suite(ideal_backend_5, AppSuiteConfig(max_width=3, shots=512), seed=4)
         assert {c.algorithm for c in cells} == {"bv", "dj", "qft"}
         for c in cells:
             assert c.fidelity == pytest.approx(1.0, abs=0.02)
             assert c.depth > 0
 
     def test_suite_uniform_fidelities_are_zero(self):
-        cells = run_app_suite(UniformRandomBackend(3), widths=(2, 3), shots=512, seed=4)
+        cells = run_app_suite(UniformRandomBackend(3), AppSuiteConfig(max_width=3, shots=512), seed=4)
         for c in cells:
             assert c.fidelity == pytest.approx(0.0, abs=0.05)
 
     def test_suite_on_noisy_star_device(self, starmon_backend):
-        cells = run_app_suite(starmon_backend, widths=(3,), shots=512, seed=4)
+        cells = run_app_suite(starmon_backend, AppSuiteConfig(max_width=3, shots=512), seed=4)
         by_alg = {c.algorithm: c for c in cells}
         # shallow parity circuits survive; the Fourier round trip suffers
         assert by_alg["bv"].fidelity > by_alg["qft"].fidelity
 
     def test_width_exceeding_backend_skipped(self):
         be = LocalSimBackend(ideal_device(2))
-        cells = run_app_suite(be, widths=(2, 3), shots=128, seed=1)
+        cells = run_app_suite(be, AppSuiteConfig(max_width=3, shots=128), seed=1)
         skipped = [c for c in cells if c.skipped_reason]
         assert {c.width for c in skipped} == {3}
 
     def test_csv_shape(self, ideal_backend_5):
-        cells = run_app_suite(ideal_backend_5, widths=(2,), shots=128, seed=1)
+        cells = run_app_suite(ideal_backend_5, AppSuiteConfig(max_width=2, shots=128), seed=1)
         text = volumetric_csv(cells)
         lines = text.strip().splitlines()
         assert lines[0] == "algorithm,width,depth,fidelity"

@@ -1,17 +1,21 @@
 """Command-line behavior: exit codes, determinism, artifacts."""
+import dataclasses
 import json
 from datetime import datetime
 
 import pytest
 
 from helpers import scalar_section_json
-from qbench import cli
+from qbench import cli, component
+from qbench.application import AppSuiteConfig, QScoreConfig
 from qbench.backends import LocalSimBackend
-from qbench.cli import EXIT_METRIC_INVALID, EXIT_OK, EXIT_USAGE, cli_main
-from qbench.component import measure_readout
+from qbench.cli import EXIT_METRIC_INVALID, EXIT_OK, EXIT_USAGE, build_parser, cli_main
+from qbench.component import (CalibrationConfig, CoherenceConfig, CrosstalkConfig, RBConfig,
+                              ReadoutConfig)
 from qbench.device import ideal_device, save_device, starmon5_reference_model
 from qbench.remote import MockServer
 from qbench.reporting import RunStore
+from qbench.system import CLOPSConfig, QVConfig, StabilityConfig
 
 
 def _scalar_sections(path: str, metric: str) -> list[str]:
@@ -183,20 +187,84 @@ class TestCountArguments:
 
     @pytest.mark.parametrize("given, used", [(None, 4096), ("1", 1), ("3", 3)])
     def test_readout_shots(self, tmp_path, monkeypatch, given, used):
+        """The record's ``shots`` is the count the batch ran at, given or not."""
         seen = []
+        submit_and_wait = component.submit_and_wait
 
-        def spy(backend, **kwargs):
-            res = measure_readout(backend, **kwargs)
-            seen.append(res.shots)
-            return res
+        def spy(backend, circuits, shots, seed):
+            seen.append(shots)
+            return submit_and_wait(backend, circuits, shots, seed)
 
-        monkeypatch.setattr(cli, "measure_readout", spy)
+        monkeypatch.setattr(component, "submit_and_wait", spy)
         extra = [] if given is None else ["--shots", given]
         assert cli_main(["readout", "--device", "ideal", "--ideal-width", "2", *extra,
                          "--out", str(tmp_path)]) == EXIT_OK
         assert seen == [used]
         (rec,) = RunStore(str(tmp_path)).records()
-        assert rec.config["shots"] == (None if given is None else used)
+        assert rec.config["shots"] == used
+
+
+# each metric sub-command with its required arguments only, and its library config
+METRIC_CONFIGS = [
+    (["calibrate"], CalibrationConfig),
+    (["rb"], RBConfig),
+    (["readout"], ReadoutConfig),
+    (["crosstalk"], CrosstalkConfig),
+    (["coherence", "t1"], CoherenceConfig),
+    (["qv"], QVConfig),
+    (["clops"], CLOPSConfig),
+    (["stability"], StabilityConfig),
+    (["qscore"], QScoreConfig),
+    (["appsuite"], AppSuiteConfig),
+]
+# options that are not protocol settings: device source, seed, output and targets
+RUN_OPTIONS = {"command", "backend", "device", "ideal_width", "remote_url", "remote_qubits",
+               "seed", "out", "kind", "qubit", "qv"}
+
+
+class TestLibraryDefaults:
+    """The command line states no protocol default: an unset option resolves
+    to the library config's own value, and the record says what ran."""
+
+    @pytest.mark.parametrize("argv, config_type", METRIC_CONFIGS,
+                             ids=[" ".join(c[0]) for c in METRIC_CONFIGS])
+    def test_unset_options_resolve_to_library_defaults(self, argv, config_type):
+        args = build_parser().parse_args(argv)
+        fields = {f.name for f in dataclasses.fields(config_type)}
+        assert set(vars(args)) <= RUN_OPTIONS | fields
+        assert all(getattr(args, name, None) is None for name in fields)
+        assert cli.resolve_config(args) == config_type()
+
+    def test_simulator_record_states_only_what_ran(self, tmp_path):
+        assert cli_main(["qv", "--max-width", "2", "--circuits", "2", "--seed", "3",
+                         "--out", str(tmp_path)]) in (EXIT_OK, EXIT_METRIC_INVALID)
+        (rec,) = RunStore(str(tmp_path)).records()
+        assert rec.config == {**dataclasses.asdict(QVConfig(n_circuits=2, max_width=2)),
+                              "backend": "sim", "device": "starmon5"}
+
+
+def test_report_reads_records_from_before_configs(tmp_path):
+    """A record whose config is the old argparse namespace still reports."""
+    old = {
+        "backend": {"edges": None, "kind": "LocalSimBackend", "n_qubits": 2, "p2": 0.0},
+        "config": {"backend": "sim", "device": "ideal", "ideal_width": 2, "out": "runs",
+                   "remote_qubits": 5, "remote_url": "http://127.0.0.1:8000", "seed": 2,
+                   "shots": None, "time_limit": 60.0},
+        "finished_at": "2026-10-19T16:39:14.383541+00:00", "flags": [], "metric": "readout",
+        "raw_refs": [], "scalars": {"fro_q0": {"unit": "percent", "value": 100.0},
+                                    "fro_q1": {"unit": "percent", "value": 100.0}},
+        "seed": 2, "started_at": "2026-10-19T16:39:14.374616+00:00", "timing": {},
+        "toolkit_version": "0.1.0",
+    }
+    (tmp_path / "records.jsonl").write_text(json.dumps(old) + "\n")
+    assert cli_main(["rb", "--device", "ideal", "--ideal-width", "2", "--qubit", "1",
+                     "--shots", "64", "--out", str(tmp_path)]) == EXIT_METRIC_INVALID
+    assert cli_main(["report", "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.load(open(tmp_path / "summary.json"))
+    assert summary["metrics_present"] == ["rb", "readout"]
+    rows = summary["component"]["per_qubit"]
+    assert [r["fro_pct"] for r in rows] == [100.0, 100.0]
+    assert rows[0]["f1q_pct"] is None and rows[1]["f1q_pct"] is not None
 
 
 class TestRangeArguments:

@@ -21,8 +21,10 @@ from qbench.backends import (
     submit_and_wait,
 )
 from qbench.circuits import Circuit, measure_all, x
+from qbench.cli import EXIT_METRIC_INVALID, cli_main
 from qbench.device import ideal_device
 from qbench.remote import MockServer, RemoteBackend
+from qbench.reporting import RunStore
 from qbench.serialization import circuit_to_dict
 from qbench.simulator import ShotTable
 from qbench.system import CLOPSConfig, CLOPSPartialError, run_clops
@@ -289,6 +291,84 @@ class TestSubmitErrors:
             with pytest.raises(BackendError, match="submit failed"):
                 backend.submit([_circuit()], 10, seed=1)
         assert len(keys) == 2 and keys[0] == keys[1]
+
+
+class _BadStatusHandler(BaseHTTPRequestHandler):
+    """Accepts every submission, then answers each status GET with ``server.reply``."""
+
+    def log_message(self, *args) -> None:
+        pass
+
+    def _send(self, code: int, payload: bytes) -> None:
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def do_POST(self) -> None:
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self._send(201, json.dumps({"job_id": "stub-job"}).encode("utf-8"))
+
+    def do_GET(self) -> None:
+        self._send(*self.server.reply)
+
+
+# (status code, body) of each bad status reply, and the class it must raise
+BAD_STATUS_REPLIES = {
+    "http_500": ((500, b'{"error": "internal"}'), BackendError),
+    "http_503": ((503, b"unavailable"), BackendError),
+    "html_body": ((200, b"<html>maintenance</html>"), BackendError),
+    "empty_object": ((200, b"{}"), BackendError),
+    "json_list": ((200, b'[{"status": "done"}]'), BackendError),
+    "unknown_status": ((200, b'{"status": "exploded"}'), BackendError),
+    "status_not_a_string": ((200, b'{"status": ["done"]}'), BackendError),
+}
+
+
+@pytest.fixture(scope="module")
+def bad_status_server():
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _BadStatusHandler)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    host, port = httpd.server_address
+    try:
+        yield httpd, f"http://{host}:{port}"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
+class TestStatusErrors:
+    """Every status reply the protocol does not define is a ``BackendError``,
+    raised at once, through the library and through the CLI."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_STATUS_REPLIES))
+    def test_run_and_result_raise(self, bad_status_server, case):
+        httpd, url = bad_status_server
+        httpd.reply, expected = BAD_STATUS_REPLIES[case]
+        backend = RemoteBackend(url, n_qubits=3, poll_interval_s=0.01, timeout_s=2.0)
+        with pytest.raises(BackendError) as err:
+            backend.run([_circuit()], 10, seed=1)
+        assert err.type is expected
+        handle = backend.submit([_circuit()], 10, seed=1)
+        for call in (backend.result, backend.wait):
+            with pytest.raises(BackendError) as err:
+                call(handle)
+            assert err.type is expected
+
+    @pytest.mark.parametrize("case", sorted(BAD_STATUS_REPLIES))
+    def test_cli_exits_one_without_record(self, bad_status_server, tmp_path, capsys, case):
+        httpd, url = bad_status_server
+        httpd.reply = BAD_STATUS_REPLIES[case][0]
+        code = cli_main(["rb", "--backend", "remote", "--remote-url", url, "--remote-qubits", "1",
+                         "--qubit", "0", "--shots", "8", "--out", str(tmp_path)])
+        assert code == EXIT_METRIC_INVALID
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error:")
+        assert RunStore(str(tmp_path)).records() == []
 
 
 class TestClopsOverRemote:

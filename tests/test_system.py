@@ -8,13 +8,13 @@ from helpers import UniformRandomBackend, effective_device, heavy_output_mass, i
 from qbench.backends import Backend, BackendError, LocalSimBackend
 from qbench.circuits import Circuit
 from qbench.cliffords import equal_up_to_phase
-from qbench.component import CoherenceConfig
 from qbench.device import DriftSchedule, ideal_device, starmon5_reference_model
 from qbench.simulator import ShotTable, run_ideal
 from qbench.system import (
     CLOPSConfig,
     CLOPSPartialError,
     QVConfig,
+    StabilityConfig,
     angles_from_seed,
     clops_value,
     compile_qv_circuit,
@@ -137,13 +137,13 @@ class TestHeavySet:
 class TestQuantumVolume:
     def test_noiseless_small(self):
         be = LocalSimBackend(ideal_device(3))
-        res = run_quantum_volume(be, QVConfig(n_circuits=25, shots=100, seed=5))
+        res = run_quantum_volume(be, QVConfig(n_circuits=25, shots=100), seed=5)
         assert res.qv == 8
         assert res.flag is None
 
     def test_uniform_random_flagged(self):
         res = run_quantum_volume(
-            UniformRandomBackend(3), QVConfig(n_circuits=25, shots=100, seed=5)
+            UniformRandomBackend(3), QVConfig(n_circuits=25, shots=100), seed=5
         )
         assert res.qv == 1
         assert res.flag == "no_depth_passed"
@@ -152,7 +152,7 @@ class TestQuantumVolume:
 
     def test_volume_is_power_of_two_and_bounded(self):
         be = LocalSimBackend(ideal_device(3))
-        res = run_quantum_volume(be, QVConfig(n_circuits=10, shots=50, seed=2))
+        res = run_quantum_volume(be, QVConfig(n_circuits=10, shots=50), seed=2)
         assert res.qv in (1, 2, 4, 8)
         assert res.qv <= 2**3
 
@@ -161,13 +161,13 @@ class TestQuantumVolume:
         for seed in (1, 2, 3):
             clean = run_quantum_volume(
                 LocalSimBackend(ideal_device(3)),
-                QVConfig(n_circuits=15, shots=60, seed=seed),
+                QVConfig(n_circuits=15, shots=60), seed=seed,
             )
             noisy_dev = dataclasses.replace(
                 ideal_device(3), p1=(0.02,) * 3, p2=0.08
             )
             noisy = run_quantum_volume(
-                LocalSimBackend(noisy_dev), QVConfig(n_circuits=15, shots=60, seed=seed)
+                LocalSimBackend(noisy_dev), QVConfig(n_circuits=15, shots=60), seed=seed
             )
             assert noisy.qv <= clean.qv
 
@@ -227,7 +227,7 @@ class TestCLOPS:
         # time, so the throughput ratio itself depends on machine load
         assert slow.t_quantum_s == pytest.approx(2 * fast.t_quantum_s, rel=1e-12)
         for res in (fast, slow):
-            assert res.clops == clops_value(res.m, res.k, res.s, res.d,
+            assert res.clops == clops_value(cfg.m_templates, cfg.k_updates, cfg.shots, res.d,
                                             res.t_quantum_s + res.t_classical_s)
 
     def test_angle_expansion_deterministic_and_in_range(self):
@@ -241,15 +241,11 @@ class TestCLOPS:
 class TestStability:
     def test_repeats_precondition(self, starmon_backend):
         with pytest.raises(ValueError):
-            run_stability(starmon_backend, repeats=1, interval_s=1.0)
+            run_stability(starmon_backend, StabilityConfig(repeats=1, interval_s=1.0))
 
     def test_drift_free_spread_is_small(self):
         be = LocalSimBackend(starmon5_reference_model())
-        rec = run_stability(
-            be, repeats=3, interval_s=3600.0,
-            cfg=CoherenceConfig(max_wait_us=24.0, shots=2048, seed=5),
-            qubits=[0, 2],
-        )
+        rec = run_stability(be, StabilityConfig(repeats=3, shots=2048), seed=5, qubits=[0, 2])
         assert rec.flagged == 0
         for rs in rec.relative_std:
             assert rs < 0.05
@@ -257,11 +253,7 @@ class TestStability:
     def test_injected_jitter_raises_spread(self):
         dev = starmon5_reference_model(drift=DriftSchedule(jitter_sigma=0.1))
         be = LocalSimBackend(dev, drift_seed=11)
-        rec = run_stability(
-            be, repeats=5, interval_s=3600.0,
-            cfg=CoherenceConfig(max_wait_us=24.0, shots=2048, seed=5),
-            qubits=[0, 2],
-        )
+        rec = run_stability(be, StabilityConfig(repeats=5, shots=2048), seed=5, qubits=[0, 2])
         for rs in rec.relative_std:
             assert 0.05 <= rs <= 0.2
 
@@ -276,9 +268,8 @@ class TestStability:
         # pure-noise outcomes make the dephasing fit flag nearly every point
         rec = run_stability(
             UniformRandomBackend(2),
-            repeats=3,
-            interval_s=1.0,
-            cfg=CoherenceConfig(max_wait_us=24.0, shots=256, seed=2),
+            StabilityConfig(repeats=3, interval_s=1.0, shots=256),
+            seed=2,
             qubits=[0],
         )
         assert rec.flagged >= 2
