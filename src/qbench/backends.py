@@ -6,11 +6,15 @@ in order, each holding exactly the requested shots.  The local simulator
 runs the batch synchronously; the remote backend (see :mod:`qbench.remote`)
 submits it to a job endpoint and polls until it is done.
 
+A backend's other abstract member is ``device``, the DeviceModel it runs.
+The base class alone derives from it the width, coupling, capability check,
+qubit ranking and record metadata; Q-factor reads its gate times.
+
 Two optional capabilities replace checks on the concrete backend class:
 
-* ``timing`` is the executing hardware's gate-timing model, or None when
-  the backend has none.  Throughput measurements use it to model the
-  quantum time of a batch.
+* ``timing`` is the model CLOPS times a batch's quantum part with: the
+  simulator's device timing, or None (the remote client), where the window
+  is measured.
 * ``advance_clock(seconds)`` moves a virtual wall clock and returns the new
   time, or None when the backend has no such clock.  The local backend's
   clock redraws the per-epoch coherence jitter, so slow parameter drift can
@@ -19,10 +23,12 @@ Two optional capabilities replace checks on the concrete backend class:
 from __future__ import annotations
 
 import abc
+import hashlib
+import json
 
 import numpy as np
 
-from .circuits import GATE_KINDS, Circuit, TimingModel, unconnected_cz
+from .circuits import Circuit, TimingModel, unconnected_cz
 from .device import DeviceModel
 from .simulator import ShotTable, run_noisy
 
@@ -54,26 +60,36 @@ class Backend(abc.ABC):
 
     @property
     @abc.abstractmethod
-    def n_qubits(self) -> int: ...
-
-    @property
-    @abc.abstractmethod
-    def connectivity(self) -> frozenset[tuple[int, int]] | None:
-        """Allowed CZ pairs; None means all-to-all."""
+    def device(self) -> DeviceModel:
+        """The device this backend executes on."""
 
     @abc.abstractmethod
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
         """Execute a batch: one table per circuit, in order, ``shots`` shots each."""
+
+    @property
+    def n_qubits(self) -> int:
+        return self.device.n_qubits
+
+    @property
+    def connectivity(self) -> frozenset[tuple[int, int]] | None:
+        """Allowed CZ pairs; None means all-to-all."""
+        return self.device.edge_set()
 
     def advance_clock(self, seconds: float) -> float | None:
         """Move the virtual wall clock; None when the backend has none."""
         return None
 
     def metadata(self) -> dict:
+        """The record's ``backend`` section: the kind, and the device with its content hash."""
+        device = self.device
+        doc = device.to_json_dict()
         return {
             "kind": type(self).__name__,
-            "n_qubits": self.n_qubits,
-            "native_gates": list(GATE_KINDS),
+            "n_qubits": device.n_qubits,
+            "edges": doc["edges"],
+            "p2": device.p2,
+            "device_sha256": hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
         }
 
     def check_capabilities(self, circuits: list[Circuit]) -> None:
@@ -89,26 +105,24 @@ class Backend(abc.ABC):
                     f"circuit {c.label!r} has CZ on unconnected pair {bad.qubits}"
                 )
 
-    def _qubit_quality(self, qubit: int) -> float:
-        """Tie-break between equally connected qubits; higher is better."""
-        return 0.0
-
     def preferred_qubit_order(self) -> list[int]:
-        """Physical qubits sorted by connectivity degree, best first."""
-        if self.connectivity is None:
-            return list(range(self.n_qubits))
-        degree = {q: 0 for q in range(self.n_qubits)}
-        for a, b in self.connectivity:
+        """Physical qubits sorted by connectivity degree, then readout fidelity, best first."""
+        device = self.device
+        if device.edges is None:
+            return list(range(device.n_qubits))
+        degree = {q: 0 for q in range(device.n_qubits)}
+        for a, b in device.edges:
             degree[a] += 1
             degree[b] += 1
-        return sorted(degree, key=lambda q: (-degree[q], -self._qubit_quality(q), q))
+        fidelity = [1.0 - (q.readout[0][1] + q.readout[1][0]) / 2 for q in device.qubits]
+        return sorted(degree, key=lambda q: (-degree[q], -fidelity[q], q))
 
 
 class LocalSimBackend(Backend):
     """Noisy density-matrix simulator behind the backend interface."""
 
     def __init__(self, device: DeviceModel, drift_seed: int = 0) -> None:
-        self.device = device
+        self._device = device
         self.timing = device.timing
         self.clock_s = 0.0
         self._drift_seed = drift_seed
@@ -116,25 +130,8 @@ class LocalSimBackend(Backend):
         self._effective = device
 
     @property
-    def n_qubits(self) -> int:
-        return self.device.n_qubits
-
-    @property
-    def connectivity(self) -> frozenset[tuple[int, int]] | None:
-        return self.device.edge_set()
-
-    def metadata(self) -> dict:
-        return {
-            "kind": "LocalSimBackend",
-            "n_qubits": self.n_qubits,
-            "edges": None if self.device.edges is None else [list(e) for e in self.device.edges],
-            "p2": self.device.p2,
-        }
-
-    def _qubit_quality(self, qubit: int) -> float:
-        """Readout fidelity."""
-        readout = self.device.qubits[qubit].readout
-        return 1.0 - (readout[0][1] + readout[1][0]) / 2
+    def device(self) -> DeviceModel:
+        return self._device
 
     def advance_clock(self, seconds: float) -> float:
         """Move the virtual wall clock and redraw the drift jitter."""

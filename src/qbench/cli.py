@@ -4,15 +4,16 @@
                     [--shots N] [--out DIR] ...
 
 Metrics: calibrate, rb, readout, crosstalk, coherence {t1,t2star,t2hahn},
-qv, clops, stability, qscore, appsuite, report.  --device takes a JSON
-model path or the built-in names "starmon5" and "ideal".
+qv, clops, stability, qscore, appsuite, and report (--out alone).  --device
+is a JSON model path or "starmon5" or "ideal"; remote runs use the server's.
 
 Each metric runs one frozen library config built from the protocol options
 given; each defaults to None and sets the config field its ``dest`` names.
 One record per run, built in ``cli_main``: the metric, the config plus the
 run's inputs (device source, ``--qubit``, ``clops --qv``), the backend's
-metadata, the seed and UTC start and finish times; ``cmd_*`` adds scalars,
-flags, timing and raw references.  A run that raises writes no record.
+metadata (kind, device and its hash), the seed and UTC start and finish
+times; ``cmd_*`` adds scalars, flags, timing and raw references.  A run
+that raises writes no record.
 
 Exit codes: 0 success; 1 metric invalid, which is a record carrying any
 flag other than a ``*_skipped`` one (a flagged fit, no passing depth or
@@ -74,17 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qbench", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qbench {__version__}")
 
-    common = argparse.ArgumentParser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="qbench-runs")
+    common = argparse.ArgumentParser(add_help=False, parents=[out])
     common.add_argument("--backend", choices=("sim", "remote"), default="sim")
     common.add_argument("--device", default="starmon5",
                         help="device model JSON path, or built-in 'starmon5' / 'ideal'")
     common.add_argument("--ideal-width", type=positive_int, default=5,
                         help="qubit count for the built-in ideal device")
     common.add_argument("--remote-url", default="http://127.0.0.1:8000")
-    common.add_argument("--remote-qubits", type=positive_int, default=5)
     common.add_argument("--seed", type=int, default=1234)
     common.add_argument("--shots", type=positive_int)
-    common.add_argument("--out", default="qbench-runs")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("calibrate", parents=[common])
@@ -109,13 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_qscore.add_argument("--time-limit", dest="time_limit_s", type=float)
     p_app = sub.add_parser("appsuite", parents=[common])
     p_app.add_argument("--max-width", type=positive_int)
-    sub.add_parser("report", parents=[common])
+    sub.add_parser("report", parents=[out])
     return parser
 
 
 def make_backend(args: argparse.Namespace) -> Backend:
     if args.backend == "remote":
-        return RemoteBackend(args.remote_url, n_qubits=args.remote_qubits)
+        return RemoteBackend(args.remote_url)
     if args.device == "starmon5":
         model = starmon5_reference_model()
     elif args.device == "ideal":
@@ -294,7 +295,7 @@ def resolve_config(args: argparse.Namespace):
 def _run_inputs(args: argparse.Namespace) -> dict:
     """The options a record states beside its config: the device source and the run's targets."""
     names = ["backend", "qubit", "qv"]
-    names += ["remote_url", "remote_qubits"] if args.backend == "remote" else ["device"]
+    names.append("remote_url" if args.backend == "remote" else "device")
     if args.backend == "sim" and args.device == "ideal":
         names.append("ideal_width")
     return {k: getattr(args, k) for k in names if hasattr(args, k)}
@@ -325,11 +326,12 @@ def cli_main(argv: list[str] | None = None) -> int:
         backend = make_backend(args)
     except (ValueError, KeyError, TypeError, OSError) as err:
         return _error(f"bad --device: {err}", EXIT_USAGE)
-    qubit = getattr(args, "qubit", None)
-    if qubit is not None and not 0 <= qubit < backend.n_qubits:
-        return _error(f"--qubit {qubit} out of range for {backend.n_qubits} qubits", EXIT_USAGE)
     # the one run envelope: build the record, let the command fill it in, store it
     try:
+        qubit = getattr(args, "qubit", None)
+        # the first read of the device: a remote backend fetches it here
+        if qubit is not None and not 0 <= qubit < backend.n_qubits:
+            return _error(f"--qubit {qubit} out of range for {backend.n_qubits} qubits", EXIT_USAGE)
         store = RunStore(args.out)
         rep = MetricReport(
             metric=f"coherence_{args.kind}" if args.command == "coherence" else args.command,

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import cliffords
 from .backends import Backend, submit_and_wait
-from .circuits import Circuit, Gate, TimingModel, measure_all, rz, wait, x, x90
+from .circuits import Circuit, Gate, measure_all, rz, wait, x, x90
 from .fitting import DataSeries, FitResult, fit_damped_sinusoid, fit_exp_decay, fit_geometric
 from .simulator import index_to_bitstring
 
@@ -376,7 +376,7 @@ def run_calibration(
     else:
         crosstalk = None
     valid_t2 = [r.time_us for r in t2stars if r.valid]
-    gate_ns = (backend.timing or TimingModel()).single_qubit_gate_ns
+    gate_ns = backend.device.timing.single_qubit_gate_ns
     qf = q_factor(valid_t2, gate_ns) if valid_t2 else float("nan")
     return CalibrationSummary(
         rb=rb_results,

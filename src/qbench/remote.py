@@ -10,11 +10,13 @@ Wire protocol (UTF-8 JSON, bitstrings with qubit 0 leftmost):
                  -> 200 {"status": "queued"|"running"|"done"|"failed",
                          "results": [{"counts": {bitstring: int}}]}
                  -> 404 for unknown ids.
+    GET /device  -> 200 the served DeviceModel's JSON document.
 
-The client never submits without an idempotency key, and network-level
-retries reuse the key, so a flaky link cannot double-execute a batch.  The
-mock server wraps any local backend and is good enough to integration-test
-every metric without hardware.
+The client reads ``/device`` once, on first use.  It never submits without
+an idempotency key, and network-level retries reuse the key, so a flaky
+link cannot double-execute a batch.  The mock server wraps any local
+backend and is good enough to integration-test every metric without
+hardware.
 
 ``requests`` and ``http.server`` are imported only when a client or a mock
 server is built, so importing this module (as ``qbench.cli`` does) loads no
@@ -29,6 +31,7 @@ import uuid
 
 from .backends import Backend, BackendError, CapabilityError, JobNotFoundError, SubmitTimeout
 from .circuits import Circuit
+from .device import DeviceModel
 from .serialization import circuit_from_dict, circuit_to_dict
 from .simulator import ShotTable
 
@@ -40,18 +43,21 @@ _JOB_STATUSES = ("queued", "running", "done", "failed")
 class RemoteBackend(Backend):
     """Client for the job protocol above.
 
-    ``run`` submits a batch, waits up to ``timeout_s`` for it and builds its
-    tables from the ``done`` document that ``wait`` returns, so a finished
-    job costs no extra GET.  On :class:`SubmitTimeout` the handle stays
-    valid, and ``wait`` and ``result`` retrieve the tables later; once
-    ``run`` has the tables it forgets the handle.  A submission that fails
-    twice on the network raises :class:`BackendError`.
+    ``n_qubits`` and ``connectivity``, when given, only check the served
+    device: a mismatch raises :class:`CapabilityError`.  ``run`` submits a
+    batch, waits up to ``timeout_s`` for it and builds its tables from the
+    ``done`` document that ``wait`` returns, so a finished job costs no
+    extra GET.  On :class:`SubmitTimeout` the handle stays valid for
+    ``wait`` and ``result``, up to the ``_FINISHED_JOBS_KEPT`` latest; once
+    ``run`` or ``result`` has returned a job's tables the client forgets its
+    handle.  A submission that fails twice on the network raises
+    :class:`BackendError`.
     """
 
     def __init__(
         self,
         base_url: str,
-        n_qubits: int,
+        n_qubits: int | None = None,
         connectivity: frozenset[tuple[int, int]] | None = None,
         poll_interval_s: float = 0.05,
         timeout_s: float = 60.0,
@@ -59,29 +65,42 @@ class RemoteBackend(Backend):
         import requests
 
         self.base_url = base_url.rstrip("/")
-        self._n = n_qubits
-        self._connectivity = connectivity
+        self._expected = (n_qubits, connectivity)
+        self._device: DeviceModel | None = None
         self.poll_interval_s = poll_interval_s
         self.timeout_s = timeout_s
         self._session = requests.Session()
         # handle -> (circuit widths, shots), to check the reply
         self._context: dict[str, tuple[list[int], int]] = {}
+        self._timed_out: dict[str, None] = {}  # handles run gave up on, oldest first
 
     @property
-    def n_qubits(self) -> int:
-        return self._n
-
-    @property
-    def connectivity(self) -> frozenset[tuple[int, int]] | None:
-        return self._connectivity
-
-    def metadata(self) -> dict:
-        return {"kind": "RemoteBackend", "n_qubits": self._n, "url": self.base_url}
+    def device(self) -> DeviceModel:
+        if self._device is None:
+            try:
+                device = DeviceModel.from_json_dict(self._get("/device"))
+            except (AttributeError, KeyError, TypeError, ValueError) as err:
+                raise BackendError(f"malformed device document: {err}") from err
+            n_qubits, connectivity = self._expected
+            if (n_qubits not in (None, device.n_qubits)
+                    or connectivity not in (None, device.edge_set())):
+                raise CapabilityError(f"served device has {device.n_qubits} qubits and edges "
+                                      f"{device.edges}, not the ones expected")
+            self._device = device
+        return self._device
 
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
         handle = self.submit(circuits, shots, seed)
-        tables = self._tables(handle, self.wait(handle, self.timeout_s))
-        del self._context[handle]  # a timed-out handle keeps it for late retrieval
+        try:
+            doc = self.wait(handle, self.timeout_s)
+        except SubmitTimeout:  # keep the handle for late retrieval, within the cap
+            self._timed_out[handle] = None
+            while len(self._timed_out) > _FINISHED_JOBS_KEPT:
+                oldest = next(iter(self._timed_out))
+                del self._timed_out[oldest], self._context[oldest]
+            raise
+        tables = self._tables(handle, doc)
+        del self._context[handle]
         return tables
 
     def submit(self, circuits: list[Circuit], shots: int, seed: int) -> str:
@@ -111,19 +130,31 @@ class RemoteBackend(Backend):
         self._context[handle] = ([c.n_qubits for c in circuits], int(shots))
         return handle
 
-    def status(self, handle: str) -> dict:
-        """The job's status document; any reply but a JSON object with a
-        known ``status`` raises :class:`BackendError`."""
-        resp = self._session.get(f"{self.base_url}/jobs/{handle}", timeout=30)
-        if resp.status_code == 404:
-            raise JobNotFoundError(handle)
+    def _get(self, path: str, not_found: type[BackendError] = BackendError) -> dict:
+        """GET a JSON object; a 404 raises ``not_found``, any other failure
+        (transport, error code, body) :class:`BackendError`."""
+        import requests  # loaded by __init__; here only a sys.modules lookup
+
+        try:
+            resp = self._session.get(f"{self.base_url}{path}", timeout=30)
+        except requests.RequestException as err:
+            raise BackendError(f"GET {path} failed: {err}") from err
         if resp.status_code != 200:
-            raise BackendError(f"status of job {handle} failed: {resp.status_code} {resp.text}")
+            error = not_found if resp.status_code == 404 else BackendError
+            raise error(f"GET {path} failed: {resp.status_code} {resp.text[:200]}")
         try:
             doc = resp.json()
         except ValueError as err:  # requests' JSONDecodeError is a ValueError
-            raise BackendError(f"job {handle} status is not JSON: {err}") from err
-        if not isinstance(doc, dict) or doc.get("status") not in _JOB_STATUSES:
+            raise BackendError(f"GET {path} reply is not JSON: {err}") from err
+        if not isinstance(doc, dict):
+            raise BackendError(f"GET {path} reply is not a JSON object: {str(doc)[:200]}")
+        return doc
+
+    def status(self, handle: str) -> dict:
+        """The job's status document; any reply but a JSON object with a
+        known ``status`` raises :class:`BackendError`."""
+        doc = self._get(f"/jobs/{handle}", JobNotFoundError)
+        if doc.get("status") not in _JOB_STATUSES:
             raise BackendError(f"job {handle} returned a malformed status: {str(doc)[:200]}")
         return doc
 
@@ -144,7 +175,10 @@ class RemoteBackend(Backend):
         doc = self.status(handle)
         if doc["status"] != "done":
             raise SubmitTimeout(handle, f"job {handle} is {doc['status']}")
-        return self._tables(handle, doc)
+        tables = self._tables(handle, doc)
+        del self._context[handle]
+        self._timed_out.pop(handle, None)
+        return tables
 
     def _tables(self, handle: str, doc: dict) -> list[ShotTable]:
         """Validate a ``done`` document against the submitted batch."""
@@ -217,12 +251,13 @@ class MockServer:
                 self._reply(code, doc)
 
             def do_GET(self) -> None:
-                if not self.path.startswith("/jobs/"):
+                if self.path == "/device":
+                    self._reply(200, server.backend.device.to_json_dict())
+                elif self.path.startswith("/jobs/"):
+                    job_id = self.path[len("/jobs/"):]
+                    self._reply(*server.handle_status(job_id))
+                else:
                     self._reply(404, {"error": "unknown endpoint"})
-                    return
-                job_id = self.path[len("/jobs/"):]
-                code, doc = server.handle_status(job_id)
-                self._reply(code, doc)
 
         self._httpd = ThreadingHTTPServer((host, 0), Handler)
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)

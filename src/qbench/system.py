@@ -365,6 +365,8 @@ class StabilityConfig:
     def __post_init__(self) -> None:
         if self.repeats < STABILITY_MIN_REPEATS:
             raise ValueError(f"stability needs at least {STABILITY_MIN_REPEATS} repeats")
+        if not 0.0 <= self.interval_s < float("inf"):  # also rejects NaN
+            raise ValueError(f"stability interval must be finite and >= 0 s, got {self.interval_s}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qbench import cliffords
 from qbench.backends import Backend, LocalSimBackend
 from qbench.circuits import Circuit, Gate, cz, measure_all, rz, wait
-from qbench.device import DeviceModel
+from qbench.device import DeviceModel, ideal_device
 from qbench.fitting import (
     _EXP_NAMES,
     _GEOM_NAMES,
@@ -77,15 +77,11 @@ class UniformRandomBackend(Backend):
     """Returns uniformly random bitstrings; a floor for every metric."""
 
     def __init__(self, n_qubits: int) -> None:
-        self._n = n_qubits
+        self._device = ideal_device(n_qubits)
 
     @property
-    def n_qubits(self) -> int:
-        return self._n
-
-    @property
-    def connectivity(self) -> frozenset[tuple[int, int]] | None:
-        return None
+    def device(self) -> DeviceModel:
+        return self._device
 
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
         tables = []

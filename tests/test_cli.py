@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, artifacts."""
 import dataclasses
+import hashlib
 import json
 from datetime import datetime
 
@@ -61,14 +62,19 @@ class TestExitCodes:
         )
         assert code == EXIT_METRIC_INVALID
 
-    def test_failed_remote_job_exits_one(self, tmp_path, capsys):
-        # the client is not told the star coupling, so the server fails the job
+    def test_failed_remote_job_exits_one(self, tmp_path, capsys, monkeypatch):
+        # the served backend loses its device mid-run, so the server fails the job
         with MockServer(LocalSimBackend(starmon5_reference_model())) as srv:
+            def lost(*args):
+                raise RuntimeError("device lost")
+
+            monkeypatch.setattr(srv.backend, "run", lost)
             code = cli_main(["clops", "--backend", "remote", "--remote-url", srv.url,
                              "--templates", "2", "--updates", "1", "--out", str(tmp_path)])
         assert code == EXIT_METRIC_INVALID
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "unconnected" in err[0]
+        assert len(err) == 1 and err[0].startswith("error:") and "device lost" in err[0]
+        assert RunStore(str(tmp_path)).records() == []
 
     def test_clops_wider_than_device_is_classified(self, tmp_path, capsys):
         path = tmp_path / "one_qubit.json"
@@ -218,8 +224,8 @@ METRIC_CONFIGS = [
     (["appsuite"], AppSuiteConfig),
 ]
 # options that are not protocol settings: device source, seed, output and targets
-RUN_OPTIONS = {"command", "backend", "device", "ideal_width", "remote_url", "remote_qubits",
-               "seed", "out", "kind", "qubit", "qv"}
+RUN_OPTIONS = {"command", "backend", "device", "ideal_width", "remote_url", "seed", "out", "kind",
+               "qubit", "qv"}
 
 
 class TestLibraryDefaults:
@@ -267,9 +273,43 @@ def test_report_reads_records_from_before_configs(tmp_path):
     assert rows[0]["f1q_pct"] is None and rows[1]["f1q_pct"] is not None
 
 
+class TestReportOptions:
+    """``report`` reads records and runs nothing, so it takes ``--out`` alone."""
+
+    @pytest.mark.parametrize("option", [["--shots", "5"], ["--device", "nope.json"],
+                                        ["--backend", "remote"], ["--remote-qubits", "3"],
+                                        ["--seed", "1"]])
+    def test_metric_option_is_usage_error(self, tmp_path, option):
+        assert cli_main(["report", *option, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_out_alone_reports(self, tmp_path):
+        assert cli_main(["report", "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "summary.json").exists()
+
+
+class TestRecordsNameTheirDevice:
+    def test_backend_section_hashes_the_device(self, tmp_path):
+        assert cli_main(["readout", "--device", "ideal", "--ideal-width", "2", "--shots", "8",
+                         "--out", str(tmp_path)]) == EXIT_OK
+        (rec,) = RunStore(str(tmp_path)).records()
+        doc = ideal_device(2).to_json_dict()
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert rec.backend == {"kind": "LocalSimBackend", "n_qubits": 2, "edges": None,
+                               "p2": 0.0, "device_sha256": digest}
+
+    def test_remote_record_states_only_its_url(self, tmp_path):
+        with MockServer(LocalSimBackend(ideal_device(2))) as srv:
+            assert cli_main(["readout", "--backend", "remote", "--remote-url", srv.url,
+                             "--shots", "8", "--out", str(tmp_path)]) == EXIT_OK
+        (rec,) = RunStore(str(tmp_path)).records()
+        assert rec.config == {"shots": 8, "backend": "remote", "remote_url": srv.url}
+
+
 class TestRangeArguments:
-    """A qubit outside the backend, too few stability repeats or an empty
-    remote register is a usage error, caught before any record is written."""
+    """A qubit outside the backend, too few stability repeats or a negative
+    or non-finite stability interval is a usage error, caught before any
+    record is written."""
 
     @pytest.mark.parametrize("argv", [
         ["rb", "--qubit", "7"],
@@ -279,13 +319,21 @@ class TestRangeArguments:
         ["rb", "--device", "ideal", "--ideal-width", "2", "--qubit", "2"],
         ["stability", "--repeats", "2"],
         ["stability", "--repeats", "1"],
-        ["rb", "--backend", "remote", "--remote-qubits", "0"],
-        ["rb", "--backend", "remote", "--remote-qubits", "-3"],
-        ["rb", "--backend", "remote", "--remote-qubits", "3", "--qubit", "3"],
+        ["stability", "--interval", "-3600", "--repeats", "3", "--shots", "64"],
+        ["stability", "--interval", "nan"],
+        ["stability", "--interval", "inf"],
     ])
     def test_out_of_range_is_usage_error(self, tmp_path, capsys, argv):
         assert cli_main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
+        assert RunStore(str(tmp_path)).records() == []
+
+    def test_qubit_outside_the_served_device_is_usage_error(self, tmp_path, capsys):
+        with MockServer(LocalSimBackend(ideal_device(3))) as srv:
+            code = cli_main(["rb", "--backend", "remote", "--remote-url", srv.url,
+                             "--qubit", "3", "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "out of range for 3 qubits" in capsys.readouterr().err
         assert RunStore(str(tmp_path)).records() == []
 
 

@@ -1,6 +1,8 @@
 """Job-protocol tests against the bundled mock server."""
+import dataclasses
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -20,9 +22,9 @@ from qbench.backends import (
     SubmitTimeout,
     submit_and_wait,
 )
-from qbench.circuits import Circuit, measure_all, x
+from qbench.circuits import Circuit, TimingModel, measure_all, x
 from qbench.cli import EXIT_METRIC_INVALID, cli_main
-from qbench.device import ideal_device
+from qbench.device import DeviceModel, ideal_device, starmon5_reference_model
 from qbench.remote import MockServer, RemoteBackend
 from qbench.reporting import RunStore
 from qbench.serialization import circuit_to_dict
@@ -125,6 +127,36 @@ class TestTimeout:
             backend.run([_circuit()], 5, seed=seed)
         assert backend._context == {}
 
+    def test_result_forgets_the_handle(self):
+        with MockServer(LocalSimBackend(ideal_device(3)), auto_complete=False) as srv:
+            backend = RemoteBackend(srv.url, poll_interval_s=0.02, timeout_s=0.05)
+            with pytest.raises(SubmitTimeout) as err:
+                backend.run([_circuit()], 10, seed=1)
+            srv.complete_all()
+            assert backend.result(err.value.handle)[0].counts == {"100": 10}
+            assert backend._context == {} and backend._timed_out == {}
+            with pytest.raises(JobNotFoundError):
+                backend.result(err.value.handle)
+
+    def test_timed_out_handles_are_bounded(self, monkeypatch):
+        cap = 2
+        monkeypatch.setattr(qbench.remote, "_FINISHED_JOBS_KEPT", cap)
+        with MockServer(LocalSimBackend(ideal_device(3)), auto_complete=False) as srv:
+            backend = RemoteBackend(srv.url, poll_interval_s=0.02, timeout_s=0.05)
+            handles = []
+            for seed in range(cap + 2):
+                with pytest.raises(SubmitTimeout) as err:
+                    backend.run([_circuit()], 10, seed=seed)
+                handles.append(err.value.handle)
+                assert list(backend._context) == list(backend._timed_out) == handles[-cap:]
+            monkeypatch.setattr(qbench.remote, "_FINISHED_JOBS_KEPT", 64)  # the server keeps all
+            srv.complete_all()
+            with pytest.raises(JobNotFoundError, match="not submitted by this client"):
+                backend.result(handles[0])
+            for handle in handles[-cap:]:
+                assert backend.result(handle)[0].counts == {"100": 10}
+            assert backend._context == {} and backend._timed_out == {}
+
     def test_result_before_done_raises(self):
         with MockServer(LocalSimBackend(ideal_device(3)), auto_complete=False) as srv:
             backend = RemoteBackend(srv.url, n_qubits=3)
@@ -164,12 +196,8 @@ class CannedBackend(Backend):
         self.tables = tables
 
     @property
-    def n_qubits(self) -> int:
-        return 3
-
-    @property
-    def connectivity(self) -> frozenset[tuple[int, int]] | None:
-        return None
+    def device(self):
+        return ideal_device(3)
 
     def run(self, circuits, shots, seed) -> list[ShotTable]:
         return self.tables
@@ -238,8 +266,8 @@ class WideBackend(CannedBackend):
     """Answers with a 64-qubit reply, one bit wider than an outcome index holds."""
 
     @property
-    def n_qubits(self) -> int:
-        return 64
+    def device(self):
+        return ideal_device(64)
 
 
 def test_reply_wider_than_a_register_is_backend_error():
@@ -311,6 +339,10 @@ class _BadStatusHandler(BaseHTTPRequestHandler):
         self._send(201, json.dumps({"job_id": "stub-job"}).encode("utf-8"))
 
     def do_GET(self) -> None:
+        if self.path == "/device" and not getattr(self.server, "device_reply", False):
+            # a valid device, so the bad reply is the status one
+            self._send(200, json.dumps(ideal_device(3).to_json_dict()).encode("utf-8"))
+            return
         self._send(*self.server.reply)
 
 
@@ -363,7 +395,7 @@ class TestStatusErrors:
     def test_cli_exits_one_without_record(self, bad_status_server, tmp_path, capsys, case):
         httpd, url = bad_status_server
         httpd.reply = BAD_STATUS_REPLIES[case][0]
-        code = cli_main(["rb", "--backend", "remote", "--remote-url", url, "--remote-qubits", "1",
+        code = cli_main(["rb", "--backend", "remote", "--remote-url", url,
                          "--qubit", "0", "--shots", "8", "--out", str(tmp_path)])
         assert code == EXIT_METRIC_INVALID
         err = capsys.readouterr().err
@@ -390,3 +422,104 @@ class TestClopsOverRemote:
             run_clops(backend, cfg, measured_qv=4, seed=1)
         assert err.value.rounds_completed == 2
         assert len(posts) == 4
+
+
+class TestDeviceEndpoint:
+    """The client reads its device from ``GET /device``, once, on first use."""
+
+    @pytest.mark.parametrize("device", [starmon5_reference_model(), ideal_device(5)],
+                             ids=["starmon5", "ideal"])
+    def test_json_round_trip_is_exact(self, device):
+        doc = json.loads(json.dumps(device.to_json_dict()))
+        assert DeviceModel.from_json_dict(doc) == device
+        if device.edges is None:  # infinite coherence travels as null
+            assert doc["qubits"][0]["t1_us"] is None
+
+    def test_client_reads_the_served_device_once(self, monkeypatch):
+        local = LocalSimBackend(starmon5_reference_model())
+        with MockServer(local) as srv:
+            gets = []
+            real_get = requests.Session.get
+
+            def counted_get(session, url, **kwargs):
+                gets.append(url)
+                return real_get(session, url, **kwargs)
+
+            monkeypatch.setattr(requests.Session, "get", counted_get)
+            backend = RemoteBackend(srv.url)
+            assert gets == []
+            assert backend.device == local.device
+            assert backend.preferred_qubit_order() == [2, 3, 1, 0, 4]
+            assert local.preferred_qubit_order() == [2, 3, 1, 0, 4]
+            assert (backend.n_qubits, backend.connectivity) == (5, local.connectivity)
+            assert backend.timing is None  # CLOPS measures its window over the network
+            assert gets == [f"{srv.url}/device"]
+
+    @pytest.mark.parametrize("n_qubits, connectivity", [(3, None), (None, frozenset({(0, 1)})),
+                                                        (3, frozenset({(0, 1), (1, 2)}))])
+    def test_check_arguments_must_match_the_served_device(self, server, n_qubits, connectivity):
+        backend = RemoteBackend(server.url, n_qubits=n_qubits, connectivity=connectivity)
+        if connectivity is None:
+            assert backend.n_qubits == 3
+            return
+        with pytest.raises(CapabilityError, match="not the ones expected"):
+            backend.device
+
+    def test_q_factor_reads_the_served_gate_time(self):
+        slow = dataclasses.replace(ideal_device(2), timing=TimingModel(single_qubit_gate_ns=40.0))
+        with MockServer(LocalSimBackend(slow)) as srv:
+            assert RemoteBackend(srv.url).device.timing.single_qubit_gate_ns == 40.0
+
+
+def _refused_url() -> str:
+    """A local address nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
+# (status code, body) of each bad device reply; None is a refused connection
+BAD_DEVICE_REPLIES = {
+    "http_404": (404, b'{"error": "unknown endpoint"}'),  # a server from before /device
+    "http_500": (500, b'{"error": "internal"}'),
+    "html_body": (200, b"<html>maintenance</html>"),
+    "json_list": (200, b'[{"qubits": []}]'),
+    "no_qubits": (200, b'{"qubits": []}'),
+    "refused": None,
+}
+
+
+class TestDeviceErrors:
+    """Every bad device reply is a ``BackendError``: through the library, and
+    through the CLI as exit 1 with one error line and no record."""
+
+    @pytest.fixture()
+    def url(self, bad_status_server, request):
+        httpd, url = bad_status_server
+        reply = BAD_DEVICE_REPLIES[request.param]
+        if reply is None:
+            yield _refused_url()
+            return
+        httpd.reply = reply
+        httpd.device_reply = True
+        yield url
+        httpd.device_reply = False
+
+    @pytest.mark.parametrize("url", sorted(BAD_DEVICE_REPLIES), indirect=True)
+    def test_library_raises_backend_error(self, url):
+        backend = RemoteBackend(url)
+        with pytest.raises(BackendError):
+            backend.device
+        with pytest.raises(BackendError):
+            submit_and_wait(backend, [_circuit()], 10, seed=1)
+
+    @pytest.mark.parametrize("qubit", [[], ["--qubit", "0"]], ids=["all_qubits", "qubit"])
+    @pytest.mark.parametrize("url", sorted(BAD_DEVICE_REPLIES), indirect=True)
+    def test_cli_exits_one_without_record(self, url, qubit, tmp_path, capsys):
+        code = cli_main(["rb", "--backend", "remote", "--remote-url", url, *qubit,
+                         "--shots", "8", "--out", str(tmp_path)])
+        assert code == EXIT_METRIC_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert RunStore(str(tmp_path)).records() == []

@@ -38,12 +38,8 @@ class FailAfterBackend(Backend):
     batches: int = 0
 
     @property
-    def n_qubits(self) -> int:
-        return self.inner.n_qubits
-
-    @property
-    def connectivity(self) -> frozenset[tuple[int, int]] | None:
-        return self.inner.connectivity
+    def device(self):
+        return self.inner.device
 
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
         if self.batches >= self.fail_after:
@@ -242,6 +238,12 @@ class TestStability:
     def test_repeats_precondition(self, starmon_backend):
         with pytest.raises(ValueError):
             run_stability(starmon_backend, StabilityConfig(repeats=1, interval_s=1.0))
+
+    @pytest.mark.parametrize("interval_s", [-3600.0, -1e-9, float("nan"), float("inf")])
+    def test_interval_must_be_finite_and_not_negative(self, interval_s):
+        with pytest.raises(ValueError, match="interval"):
+            StabilityConfig(interval_s=interval_s)
+        assert StabilityConfig(interval_s=0.0).interval_s == 0.0
 
     def test_drift_free_spread_is_small(self):
         be = LocalSimBackend(starmon5_reference_model())
