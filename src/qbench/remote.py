@@ -12,18 +12,20 @@ Wire protocol (UTF-8 JSON, bitstrings with qubit 0 leftmost):
                  -> 404 for unknown ids.
     GET /device  -> 200 the served DeviceModel's JSON document.
 
-The client reads ``/device`` once, on first use.  It never submits without
-an idempotency key, and network-level retries reuse the key, so a flaky
-link cannot double-execute a batch.  The mock server wraps any local
-backend and is good enough to integration-test every metric without
-hardware.
+The client reads ``/device`` once, on first use.  It talks over one
+HTTP/1.1 connection that it keeps alive across batches and reopens when it
+fails; every request is retried once on transport failure, a submission with
+its idempotency key, so a flaky link cannot double-execute a batch.  It reads
+no proxy settings.  The mock server wraps any local backend and is good
+enough to integration-test every metric without hardware.
 
-``requests`` and ``http.server`` are imported only when a client or a mock
-server is built, so importing this module (as ``qbench.cli`` does) loads no
-HTTP stack on the local path.
+``http.client`` is imported by a client's first request and ``http.server``
+when a mock server is built, so importing this module (as ``qbench.cli``
+does) loads no HTTP stack on the local path.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import time
@@ -50,7 +52,7 @@ class RemoteBackend(Backend):
     extra GET.  On :class:`SubmitTimeout` the handle stays valid for
     ``wait`` and ``result``, up to the ``_FINISHED_JOBS_KEPT`` latest; once
     ``run`` or ``result`` has returned a job's tables the client forgets its
-    handle.  A submission that fails twice on the network raises
+    handle.  A request that fails twice on the network raises
     :class:`BackendError`.
     """
 
@@ -62,17 +64,20 @@ class RemoteBackend(Backend):
         poll_interval_s: float = 0.05,
         timeout_s: float = 60.0,
     ) -> None:
-        import requests
-
         self.base_url = base_url.rstrip("/")
+        self._conn = None  # opened by the first request; kept alive across batches
+        self._path = ""  # the URL's path prefix, set with the connection
         self._expected = (n_qubits, connectivity)
         self._device: DeviceModel | None = None
         self.poll_interval_s = poll_interval_s
         self.timeout_s = timeout_s
-        self._session = requests.Session()
         # handle -> (circuit widths, shots), to check the reply
         self._context: dict[str, tuple[list[int], int]] = {}
         self._timed_out: dict[str, None] = {}  # handles run gave up on, oldest first
+
+    def __del__(self) -> None:
+        if self._conn is not None:  # the kept-alive socket is the client's to close
+            self._conn.close()
 
     @property
     def device(self) -> DeviceModel:
@@ -104,51 +109,58 @@ class RemoteBackend(Backend):
         return tables
 
     def submit(self, circuits: list[Circuit], shots: int, seed: int) -> str:
-        import requests  # loaded by __init__; here only a sys.modules lookup
-
         body = {
             "circuits": [circuit_to_dict(c) for c in circuits],
             "shots": int(shots),
             "seed": int(seed),
             "idempotency_key": str(uuid.uuid4()),
         }
-        last_err: Exception | None = None
-        for _ in range(2):  # retry once, with the same idempotency key
-            try:
-                resp = self._session.post(f"{self.base_url}/jobs", json=body, timeout=30)
-                break
-            except (requests.ConnectionError, requests.Timeout) as err:
-                last_err = err
-                time.sleep(0.1)
-        else:
-            raise BackendError(f"submit failed: {last_err}")
-        if 400 <= resp.status_code < 500:
-            raise CapabilityError(f"submit rejected: {resp.status_code} {resp.text}")
-        if resp.status_code not in (200, 201):
-            raise BackendError(f"submit failed: {resp.status_code} {resp.text}")
-        handle = resp.json()["job_id"]
+        code, reply = self._request("submit", "/jobs", body)
+        if 400 <= code < 500:
+            raise CapabilityError(f"submit rejected: {code} {_preview(reply)}")
+        handle = _json_object("submit", code, reply, ok=(200, 201)).get("job_id")
+        if not isinstance(handle, str):
+            raise BackendError(f"submit reply has no job id: {_preview(reply)}")
         self._context[handle] = ([c.n_qubits for c in circuits], int(shots))
         return handle
+
+    def _request(self, what: str, path: str, body: dict | None = None) -> tuple[int, bytes]:
+        """POST ``body`` (GET without one) over the kept-alive connection and
+        return the reply's code and body.  A transport failure closes the
+        connection and is retried once on a new one, a submission with its
+        idempotency key; a second failure raises :class:`BackendError`."""
+        import http.client
+        from urllib.parse import urlsplit
+
+        if body is None:
+            method, payload, headers = "GET", None, {}
+        else:
+            method, payload = "POST", json.dumps(body, allow_nan=False).encode("utf-8")
+            headers = {"Content-Type": "application/json"}
+        for attempt in range(2):
+            try:
+                if self._conn is None:  # built here, so a malformed URL fails like a refused one
+                    url = urlsplit(self.base_url)
+                    connection = (http.client.HTTPSConnection if url.scheme == "https"
+                                  else http.client.HTTPConnection)
+                    self._conn, self._path = connection(url.netloc, timeout=30), url.path
+                self._conn.request(method, self._path + path, payload, headers)
+                resp = self._conn.getresponse()
+                return resp.status, resp.read()
+            except (OSError, ValueError, http.client.HTTPException) as err:
+                if self._conn is not None:
+                    self._conn.close()  # the next request opens a new connection
+                if attempt:
+                    raise BackendError(f"{what} failed: {err}") from err
+                time.sleep(0.1)
 
     def _get(self, path: str, not_found: type[BackendError] = BackendError) -> dict:
         """GET a JSON object; a 404 raises ``not_found``, any other failure
         (transport, error code, body) :class:`BackendError`."""
-        import requests  # loaded by __init__; here only a sys.modules lookup
-
-        try:
-            resp = self._session.get(f"{self.base_url}{path}", timeout=30)
-        except requests.RequestException as err:
-            raise BackendError(f"GET {path} failed: {err}") from err
-        if resp.status_code != 200:
-            error = not_found if resp.status_code == 404 else BackendError
-            raise error(f"GET {path} failed: {resp.status_code} {resp.text[:200]}")
-        try:
-            doc = resp.json()
-        except ValueError as err:  # requests' JSONDecodeError is a ValueError
-            raise BackendError(f"GET {path} reply is not JSON: {err}") from err
-        if not isinstance(doc, dict):
-            raise BackendError(f"GET {path} reply is not a JSON object: {str(doc)[:200]}")
-        return doc
+        code, reply = self._request(f"GET {path}", path)
+        if code == 404:
+            raise not_found(f"GET {path} failed: 404 {_preview(reply)}")
+        return _json_object(f"GET {path}", code, reply, ok=(200,))
 
     def status(self, handle: str) -> dict:
         """The job's status document; any reply but a JSON object with a
@@ -203,6 +215,23 @@ class RemoteBackend(Backend):
             raise BackendError(f"job {handle} returned a malformed result: {err}") from err
 
 
+def _preview(reply: bytes) -> str:
+    return reply[:200].decode("utf-8", "replace")
+
+
+def _json_object(what: str, code: int, reply: bytes, ok: tuple[int, ...]) -> dict:
+    """The reply's JSON object; any other code or body raises :class:`BackendError`."""
+    if code not in ok:
+        raise BackendError(f"{what} failed: {code} {_preview(reply)}")
+    try:
+        doc = json.loads(reply)
+    except ValueError as err:  # UnicodeDecodeError is one too
+        raise BackendError(f"{what} reply is not JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise BackendError(f"{what} reply is not a JSON object: {_preview(reply)}")
+    return doc
+
+
 class MockServer:
     """In-process job server wrapping a local backend.
 
@@ -210,7 +239,8 @@ class MockServer:
     otherwise they stay queued until :meth:`complete_all`, which is how the
     timeout path gets tested.  Queued jobs are always kept; of the finished
     ones only the most recent ``_FINISHED_JOBS_KEPT`` are, each with its
-    idempotency key.
+    idempotency key.  It speaks HTTP/1.1 and keeps connections open until
+    the client closes them or :meth:`stop` does.
     """
 
     def __init__(self, backend: Backend, host: str = "127.0.0.1", auto_complete: bool = True) -> None:
@@ -220,6 +250,7 @@ class MockServer:
         self._by_key: dict[str, str] = {}
         self._pending: dict[str, tuple] = {}  # job id -> _execute's arguments
         self._finished: dict[str, str] = {}  # job id -> idempotency key, oldest first
+        self._handlers: dict = {}  # client socket -> its handler thread, for stop
         self._lock = threading.Lock()
 
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -227,6 +258,11 @@ class MockServer:
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # a reply is two writes (headers, body); without TCP_NODELAY the
+            # body waits for the client's delayed ACK of the headers
+            disable_nagle_algorithm = True
+
             def log_message(self, *args) -> None:
                 pass
 
@@ -238,19 +274,24 @@ class MockServer:
                 self.end_headers()
                 self.wfile.write(payload)
 
+            def _body(self) -> bytes:
+                """The request body, read before any reply: on a kept-alive
+                connection unread bytes would be parsed as the next request."""
+                return self.rfile.read(int(self.headers.get("Content-Length", 0)))
+
             def do_POST(self) -> None:
+                body = self._body()
                 if self.path != "/jobs":
                     self._reply(404, {"error": "unknown endpoint"})
                     return
-                length = int(self.headers.get("Content-Length", 0))
                 try:
-                    body = json.loads(self.rfile.read(length))
-                    code, doc = server.handle_submit(body)
+                    code, doc = server.handle_submit(json.loads(body))
                 except (ValueError, KeyError) as err:
                     code, doc = 400, {"error": str(err)}
                 self._reply(code, doc)
 
             def do_GET(self) -> None:
+                self._body()
                 if self.path == "/device":
                     self._reply(200, server.backend.device.to_json_dict())
                 elif self.path.startswith("/jobs/"):
@@ -259,7 +300,24 @@ class MockServer:
                 else:
                     self._reply(404, {"error": "unknown endpoint"})
 
-        self._httpd = ThreadingHTTPServer((host, 0), Handler)
+        class HTTPServer(ThreadingHTTPServer):
+            """Keeps each connection's socket and handler thread, so ``stop``
+            can close the one and join the other."""
+
+            def process_request(self, request, client_address) -> None:
+                thread = threading.Thread(target=self.process_request_thread,
+                                          args=(request, client_address), daemon=True)
+                with server._lock:
+                    server._handlers = {sock: t for sock, t in server._handlers.items()
+                                        if t.is_alive()}
+                    server._handlers[request] = thread
+                thread.start()
+
+            def shutdown_request(self, request) -> None:
+                with server._lock:  # so stop never shuts down a closed socket's reused fd
+                    super().shutdown_request(request)
+
+        self._httpd = HTTPServer((host, 0), Handler)
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
 
     # -- protocol handlers -------------------------------------------------
@@ -334,7 +392,17 @@ class MockServer:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, close every open connection and join its handler."""
+        import socket  # loaded by http.server; here only a sys.modules lookup
+
         self._httpd.shutdown()
+        with self._lock:
+            handlers = list(self._handlers.items())
+            for sock, _ in handlers:
+                with contextlib.suppress(OSError):  # closed by its handler, or reset
+                    sock.shutdown(socket.SHUT_RDWR)  # the handler reads EOF and returns
+        for _, thread in handlers:
+            thread.join()
         self._httpd.server_close()
 
     def __enter__(self) -> "MockServer":

@@ -1,9 +1,12 @@
 """Reference helpers that only the tests use: dense unitaries, group-law
 shortcuts, distribution helpers, shot-table documents, the fit-model
 table, canonical scalars, the local backend's drifted device, a
-uniform-random backend and a random-circuit strategy."""
+uniform-random backend, a random-circuit strategy and a one-request HTTP
+exchange."""
+import http.client
 import json
 import math
+from urllib.parse import urlsplit
 
 import numpy as np
 from hypothesis import strategies as st
@@ -66,6 +69,19 @@ def heavy_output_mass(ideal_probs: np.ndarray) -> float:
 def scalar_section_json(record: MetricReport) -> str:
     """Canonical serialization of a record's deterministic result section."""
     return json.dumps(record.scalars, sort_keys=True)
+
+
+def http_json(url: str, method: str, path: str, body: dict | None = None) -> tuple[int, object]:
+    """One request on a new connection to the server at ``url``: the reply's
+    code and its JSON body."""
+    conn = http.client.HTTPConnection(urlsplit(url).netloc, timeout=30)
+    try:
+        payload = None if body is None else json.dumps(body).encode("utf-8")
+        conn.request(method, path, payload, {"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
 
 
 def effective_device(backend: LocalSimBackend) -> DeviceModel:

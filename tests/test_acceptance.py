@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from helpers import UniformRandomBackend, heavy_output_mass, scalar_section_json
+from helpers import UniformRandomBackend, heavy_output_mass, http_json, scalar_section_json
 from qbench.application import (
     QScoreConfig,
     gen_erdos_renyi,
@@ -312,12 +312,10 @@ def test_criterion_9_determinism(tmp_path):
             "seed": 2,
             "idempotency_key": "acceptance-key",
         }
-        import requests
-
-        first = requests.post(f"{srv.url}/jobs", json=body).json()["job_id"]
-        second = requests.post(f"{srv.url}/jobs", json=body).json()["job_id"]
+        first = http_json(srv.url, "POST", "/jobs", body)[1]["job_id"]
+        second = http_json(srv.url, "POST", "/jobs", body)[1]["job_id"]
         ok_remote &= first == second
-        ok_remote &= requests.get(f"{srv.url}/jobs/unknown").status_code == 404
+        ok_remote &= http_json(srv.url, "GET", "/jobs/unknown")[0] == 404
 
     _report(9, ok_cli and ok_remote, "identical scalar sections; idempotent resubmission; 404 contract", budget)
 

@@ -1,5 +1,7 @@
 """Job-protocol tests against the bundled mock server."""
+import contextlib
 import dataclasses
+import http.client
 import json
 import os
 import socket
@@ -8,11 +10,12 @@ import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
+from urllib.parse import urlsplit
 
 import pytest
-import requests
 
 import qbench.remote
+from helpers import http_json
 from qbench.backends import (
     Backend,
     BackendError,
@@ -32,13 +35,18 @@ from qbench.simulator import ShotTable
 from qbench.system import CLOPSConfig, CLOPSPartialError, run_clops
 
 
-# Imports qbench the way a local CLI run does, then builds a client.
+# Imports qbench the way a local CLI run does, then builds a client and a server.
 _IMPORT_PROBE = """
 import json, sys
 import qbench.cli, qbench.remote
-local = sorted(m for m in ("requests", "urllib3", "http.server") if m in sys.modules)
+from qbench.backends import LocalSimBackend
+from qbench.device import ideal_device
+http_stack = ("requests", "urllib3", "http.client", "http.server")
+local = sorted(m for m in http_stack if m in sys.modules)
 qbench.remote.RemoteBackend("http://127.0.0.1:9", n_qubits=2)
-print(json.dumps({"local": local, "client_loads_requests": "requests" in sys.modules}))
+qbench.remote.MockServer(LocalSimBackend(ideal_device(2)))._httpd.server_close()
+remote = sorted(m for m in http_stack if m in sys.modules)
+print(json.dumps({"local": local, "remote": remote}))
 """
 
 
@@ -47,7 +55,7 @@ def test_local_path_imports_no_http_stack():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert json.loads(out) == {"local": [], "client_loads_requests": True}
+    assert json.loads(out) == {"local": [], "remote": ["http.client", "http.server"]}
 
 
 @pytest.fixture()
@@ -78,8 +86,7 @@ class TestProtocol:
         assert len(seen) == 1
 
     def test_unknown_job_is_404(self, server):
-        resp = requests.get(f"{server.url}/jobs/not-a-job")
-        assert resp.status_code == 404
+        assert http_json(server.url, "GET", "/jobs/not-a-job")[0] == 404
         backend = RemoteBackend(server.url, n_qubits=3)
         with pytest.raises(JobNotFoundError):
             backend.status("not-a-job")
@@ -91,15 +98,14 @@ class TestProtocol:
             "seed": 2,
             "idempotency_key": "fixed-key-123",
         }
-        first = requests.post(f"{server.url}/jobs", json=body)
-        second = requests.post(f"{server.url}/jobs", json=body)
-        assert first.status_code == 201
-        assert second.status_code == 200
-        assert first.json()["job_id"] == second.json()["job_id"]
+        first = http_json(server.url, "POST", "/jobs", body)
+        second = http_json(server.url, "POST", "/jobs", body)
+        assert first[0] == 201
+        assert second[0] == 200
+        assert first[1]["job_id"] == second[1]["job_id"]
 
     def test_malformed_body_rejected(self, server):
-        resp = requests.post(f"{server.url}/jobs", json={"shots": 1})
-        assert resp.status_code == 400
+        assert http_json(server.url, "POST", "/jobs", {"shots": 1})[0] == 400
 
     def test_capability_failure_surfaces(self, server):
         backend = RemoteBackend(server.url, n_qubits=6)  # wider than the device
@@ -302,16 +308,17 @@ class TestSubmitErrors:
 
     @pytest.mark.parametrize("timeouts", [1, 2])
     def test_timeout_retried_once_with_same_key(self, server, monkeypatch, timeouts):
-        real_post = requests.Session.post
+        real_request = http.client.HTTPConnection.request
         keys = []
 
-        def flaky_post(session, url, **kwargs):
-            keys.append(kwargs["json"]["idempotency_key"])
-            if len(keys) <= timeouts:
-                raise requests.Timeout("injected timeout")
-            return real_post(session, url, **kwargs)
+        def flaky_request(conn, method, url, body=None, *args, **kwargs):
+            if method == "POST":
+                keys.append(json.loads(body)["idempotency_key"])
+                if len(keys) <= timeouts:
+                    raise TimeoutError("injected timeout")
+            return real_request(conn, method, url, body, *args, **kwargs)
 
-        monkeypatch.setattr(requests.Session, "post", flaky_post)
+        monkeypatch.setattr(http.client.HTTPConnection, "request", flaky_request)
         backend = RemoteBackend(server.url, n_qubits=3)
         if timeouts == 1:
             assert backend.run([_circuit()], 10, seed=1)[0].counts == {"100": 10}
@@ -403,19 +410,194 @@ class TestStatusErrors:
         assert RunStore(str(tmp_path)).records() == []
 
 
+def _record_accepts(httpd) -> list:
+    """The list of sockets ``httpd`` accepts from now on."""
+    accepted = []
+    get_request = httpd.get_request
+
+    def counted_get_request():
+        sock, address = get_request()
+        accepted.append(sock)
+        return sock, address
+
+    httpd.get_request = counted_get_request
+    return accepted
+
+
+@contextlib.contextmanager
+def _serving(handler):
+    """A threaded stub server running ``handler``, its URL, and the list of
+    sockets it accepts."""
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    accepted = _record_accepts(httpd)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    host, port = httpd.server_address
+    try:
+        yield httpd, f"http://{host}:{port}", accepted
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
+class _BadSubmitHandler(_BadStatusHandler):
+    """Serves a valid device, then answers each submission with
+    ``server.reply``; a reply of None drops the connection unanswered."""
+
+    def do_POST(self) -> None:
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        if self.server.reply is not None:
+            self._send(*self.server.reply)
+
+
+# (status code, body) of each bad submit reply; None is a dropped connection
+BAD_SUBMIT_REPLIES = {
+    "html_body": (201, b"<html>maintenance</html>"),
+    "json_list": (201, b"[]"),
+    "empty_object": (201, b"{}"),
+    "job_id_not_a_string": (201, b'{"job_id": 3}'),
+    "http_500": (500, b'{"error": "internal"}'),
+    "dropped": None,
+}
+
+
+@pytest.fixture(scope="module")
+def bad_submit_server():
+    with _serving(_BadSubmitHandler) as (httpd, url, _):
+        httpd.device_reply = False
+        yield httpd, url
+
+
+class TestSubmitReplyErrors:
+    """Every submit reply the protocol does not define is a ``BackendError``,
+    through the library and through the CLI."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_SUBMIT_REPLIES))
+    def test_library_raises_backend_error(self, bad_submit_server, case):
+        httpd, url = bad_submit_server
+        httpd.reply = BAD_SUBMIT_REPLIES[case]
+        backend = RemoteBackend(url, n_qubits=3)
+        for call in (backend.submit, backend.run):
+            with pytest.raises(BackendError) as err:
+                call([_circuit()], 10, seed=1)
+            assert err.type is BackendError
+        assert backend._context == {}
+
+    @pytest.mark.parametrize("case", sorted(BAD_SUBMIT_REPLIES))
+    def test_cli_exits_one_without_record(self, bad_submit_server, tmp_path, capsys, case):
+        httpd, url = bad_submit_server
+        httpd.reply = BAD_SUBMIT_REPLIES[case]
+        code = cli_main(["rb", "--backend", "remote", "--remote-url", url,
+                         "--qubit", "0", "--shots", "8", "--out", str(tmp_path)])
+        assert code == EXIT_METRIC_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert RunStore(str(tmp_path)).records() == []
+
+
+class _IdleDropHandler(BaseHTTPRequestHandler):
+    """Answers over HTTP/1.1 as if keeping the connection alive, then drops
+    it, as a server does with a connection left idle past its timeout."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args) -> None:
+        pass
+
+    def do_GET(self) -> None:
+        doc = (ideal_device(3).to_json_dict() if self.path == "/device"
+               else {"status": "queued", "results": []})
+        payload = json.dumps(doc).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+        self.close_connection = True
+
+
+class TestConnection:
+    """One kept-alive connection per client, reopened when it drops."""
+
+    def test_runs_share_one_connection_until_stop(self):
+        srv = MockServer(LocalSimBackend(ideal_device(3)))
+        accepted, handlers = _record_accepts(srv._httpd), []
+        finish_request = srv._httpd.finish_request
+
+        def recorded_finish_request(request, address):
+            handlers.append(threading.current_thread())
+            finish_request(request, address)
+
+        srv._httpd.finish_request = recorded_finish_request
+        srv.start()
+        try:
+            backend = RemoteBackend(srv.url, n_qubits=3)
+            for seed in range(5):
+                assert backend.run([_circuit()], 10, seed=seed)[0].counts == {"100": 10}
+            assert backend.n_qubits == 3
+            assert len(accepted) == 1
+            # a reply's body goes out without waiting for the ACK of its headers
+            assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            srv.stop()
+        assert handlers and not any(thread.is_alive() for thread in handlers)
+        with pytest.raises(BackendError, match="failed"):
+            backend.run([_circuit()], 10, seed=1)
+
+    def test_unknown_post_leaves_the_connection_usable(self, server):
+        conn = http.client.HTTPConnection(urlsplit(server.url).netloc, timeout=30)
+        try:
+            conn.request("POST", "/nowhere", b'{"circuits": []}')
+            resp = conn.getresponse()
+            assert (resp.status, resp.getheader("Connection")) == (404, None)
+            resp.read()
+            conn.request("GET", "/device")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert DeviceModel.from_json_dict(json.loads(resp.read())) == ideal_device(3)
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("scheme, connection", [("http", http.client.HTTPConnection),
+                                                    ("https", http.client.HTTPSConnection)])
+    def test_url_scheme_and_path_prefix(self, monkeypatch, scheme, connection):
+        seen = []
+
+        def refused(conn, method, url, *args, **kwargs):
+            seen.append((type(conn), conn.host, conn.port, method, url))
+            raise ConnectionRefusedError("injected")
+
+        monkeypatch.setattr(http.client.HTTPConnection, "request", refused)
+        backend = RemoteBackend(f"{scheme}://qpu.example:8443/api/v1/")
+        with pytest.raises(BackendError, match="GET /jobs/j1 failed: injected"):
+            backend.status("j1")
+        assert seen == [(connection, "qpu.example", 8443, "GET", "/api/v1/jobs/j1")] * 2
+
+    def test_get_reopens_a_dropped_connection(self):
+        with _serving(_IdleDropHandler) as (_, url, accepted):
+            backend = RemoteBackend(url)
+            assert backend.n_qubits == 3
+            for _ in range(2):
+                assert backend.status("stub-job")["status"] == "queued"
+            assert len(accepted) == 3
+
+
 class TestClopsOverRemote:
     def test_submit_failure_keeps_completed_rounds(self, server, monkeypatch):
         """Round 3's submission times out twice: two rounds were completed."""
-        real_post = requests.Session.post
+        real_request = http.client.HTTPConnection.request
         posts = []
 
-        def post_failing_round_3(session, url, **kwargs):
-            posts.append(url)
-            if len(posts) in (3, 4):  # round 3 and its one retry
-                raise requests.Timeout("injected timeout")
-            return real_post(session, url, **kwargs)
+        def post_failing_round_3(conn, method, url, *args, **kwargs):
+            if method == "POST":
+                posts.append(url)
+                if len(posts) in (3, 4):  # round 3 and its one retry
+                    raise TimeoutError("injected timeout")
+            return real_request(conn, method, url, *args, **kwargs)
 
-        monkeypatch.setattr(requests.Session, "post", post_failing_round_3)
+        monkeypatch.setattr(http.client.HTTPConnection, "request", post_failing_round_3)
         backend = RemoteBackend(server.url, n_qubits=3)
         cfg = CLOPSConfig(m_templates=2, k_updates=5, shots=10)
         with pytest.raises(CLOPSPartialError) as err:
@@ -439,13 +621,13 @@ class TestDeviceEndpoint:
         local = LocalSimBackend(starmon5_reference_model())
         with MockServer(local) as srv:
             gets = []
-            real_get = requests.Session.get
+            real_request = http.client.HTTPConnection.request
 
-            def counted_get(session, url, **kwargs):
-                gets.append(url)
-                return real_get(session, url, **kwargs)
+            def counted_request(conn, method, url, *args, **kwargs):
+                gets.append((method, url))
+                return real_request(conn, method, url, *args, **kwargs)
 
-            monkeypatch.setattr(requests.Session, "get", counted_get)
+            monkeypatch.setattr(http.client.HTTPConnection, "request", counted_request)
             backend = RemoteBackend(srv.url)
             assert gets == []
             assert backend.device == local.device
@@ -453,7 +635,7 @@ class TestDeviceEndpoint:
             assert local.preferred_qubit_order() == [2, 3, 1, 0, 4]
             assert (backend.n_qubits, backend.connectivity) == (5, local.connectivity)
             assert backend.timing is None  # CLOPS measures its window over the network
-            assert gets == [f"{srv.url}/device"]
+            assert gets == [("GET", "/device")]
 
     @pytest.mark.parametrize("n_qubits, connectivity", [(3, None), (None, frozenset({(0, 1)})),
                                                         (3, frozenset({(0, 1), (1, 2)}))])
