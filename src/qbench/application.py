@@ -25,6 +25,7 @@ import numpy as np
 from .backends import Backend, submit_and_wait
 from .circuits import Circuit, Gate, ParamCircuit, ParamRZ, cz, measure_all, remap, rz, x, x90
 from .compile import h_ops, route_ops, routed_block, rx_angles, rzz_ops
+from .reporting import Outcome, scalar
 from .simulator import run_ideal
 
 
@@ -360,6 +361,19 @@ class QScoreResult:
     per_size: tuple[QScoreSizeResult, ...]
     flag: str | None
 
+    def outcome(self) -> Outcome:
+        """The score and each size's beta and elapsed time, or its skip flag."""
+        out = Outcome(scalars={"qscore": scalar(self.qscore, "graph_size")})
+        for r in self.per_size:
+            if "exceeds_backend" in r.flags:
+                out.flags.append(f"n{r.size}_skipped")
+                continue
+            out.scalars[f"beta_n{r.size}"] = scalar(r.beta, "fraction")
+            out.timing[f"elapsed_n{r.size}_s"] = r.elapsed_s
+        if self.flag:
+            out.flags.append(self.flag)
+        return out
+
 
 def run_qscore(backend: Backend, cfg: QScoreConfig = QScoreConfig(), seed: int = 0) -> QScoreResult:
     """Largest graph size whose normalized average cut clears the threshold.
@@ -609,3 +623,18 @@ def volumetric_csv(cells: list[VolumetricCell]) -> str:
         if c.skipped_reason is None:
             lines.append(f"{c.algorithm},{c.width},{c.depth},{c.fidelity:.6f}")
     return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class AppSuiteResult:
+    cells: tuple[VolumetricCell, ...]
+
+    def outcome(self) -> Outcome:
+        """Each cell's fidelity or skip flag, and the run cells as ``volumetric.csv``."""
+        out = Outcome(raw={"volumetric.csv": volumetric_csv(list(self.cells))})
+        for c in self.cells:
+            if c.skipped_reason:
+                out.flags.append(f"{c.algorithm}_w{c.width}_skipped")
+            else:
+                out.scalars[f"{c.algorithm}_w{c.width}"] = scalar(c.fidelity, "fidelity")
+        return out

@@ -31,6 +31,7 @@ from . import cliffords
 from .backends import Backend, submit_and_wait
 from .circuits import Circuit, Gate, measure_all, rz, wait, x, x90
 from .fitting import DataSeries, FitResult, fit_damped_sinusoid, fit_exp_decay, fit_geometric
+from .reporting import Outcome, scalar
 from .simulator import index_to_bitstring
 
 
@@ -103,6 +104,13 @@ class RBResult:
     f1q: float
     valid: bool
 
+    def outcome(self) -> Outcome:
+        return Outcome(
+            scalars={f"f1q_q{self.qubit}": scalar(self.f1q * 100, "percent"),
+                     f"epc_q{self.qubit}": scalar(self.epc, "error_per_clifford")},
+            flags=[] if self.valid else [f"q{self.qubit}_fit_invalid"],
+        )
+
 
 def epc_from_alpha(alpha: float) -> float:
     """Error per Clifford from the geometric decay constant."""
@@ -159,6 +167,10 @@ class ReadoutAssignment:
         m = self.per_qubit[qubit]
         return readout_fidelity_from_matrix(m)
 
+    def outcome(self) -> Outcome:
+        return Outcome(scalars={f"fro_q{q}": scalar(self.fidelity(q) * 100, "percent")
+                                for q in range(len(self.per_qubit))})
+
 
 def readout_fidelity_from_matrix(m) -> float:
     """F = 1 - (M10 + M01)/2 for a 2x2 assignment matrix."""
@@ -191,6 +203,13 @@ class CrosstalkResult:
     tensor_prediction: np.ndarray
     max_row_l1: float
     max_row_offdiag: float
+
+    def outcome(self) -> Outcome:
+        return Outcome(
+            scalars={"max_row_l1": scalar(self.max_row_l1, "l1_distance"),
+                     "max_row_offdiag": scalar(self.max_row_offdiag, "probability")},
+            raw={"crosstalk": {"matrix": self.matrix.tolist()}},
+        )
 
 
 def measure_crosstalk(backend: Backend, cfg: CrosstalkConfig, seed: int = 0) -> CrosstalkResult:
@@ -250,6 +269,12 @@ class CoherenceResult:
     fit: FitResult
     time_us: float
     valid: bool
+
+    def outcome(self) -> Outcome:
+        return Outcome(
+            scalars={f"{self.kind}_q{self.qubit}": scalar(self.time_us, "microsecond")},
+            flags=[] if self.valid else [f"q{self.qubit}_fit_invalid"],
+        )
 
 
 def _wait_scan(
@@ -353,6 +378,23 @@ class CalibrationSummary:
     t2star: list[CoherenceResult]
     t2hahn: list[CoherenceResult]
     q_factor: float
+
+    def outcome(self) -> Outcome:
+        """Per-qubit F1Q, F_RO and coherence times, Q-factor and crosstalk's worst row."""
+        out = Outcome(scalars={f"f1q_q{r.qubit}": scalar(r.f1q * 100, "percent") for r in self.rb})
+        out.scalars.update(self.readout.outcome().scalars)
+        for res in (*self.t1, *self.t2star, *self.t2hahn):
+            out.scalars.update(res.outcome().scalars)
+        out.scalars["q_factor"] = scalar(self.q_factor, "gates_per_t2star")
+        for fits in zip(self.rb, self.t1, self.t2star, self.t2hahn):
+            out.flags.extend(f"q{res.qubit}_{tag}_invalid"
+                             for tag, res in zip(("rb", "t1", "t2star", "t2hahn"), fits)
+                             if not res.valid)
+        if self.crosstalk is None:
+            out.flags.append("crosstalk_skipped")
+        else:
+            out.scalars["crosstalk_max_row_l1"] = scalar(self.crosstalk.max_row_l1, "l1_distance")
+        return out
 
 
 def run_calibration(

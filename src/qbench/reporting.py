@@ -4,14 +4,20 @@ Every metric run lands in a MetricReport: the metric id, the exact config,
 backend metadata, named scalar results (each carrying its unit), references
 to raw data files, timestamps, and the seed.  Reports round-trip through
 JSON losslessly.  A RunStore is one directory per invocation holding
-``records.jsonl`` (append-only, never rewritten) and raw payloads under
-``raw/<metric>/<uuid>.json``.
+``records.jsonl`` (append-only, never rewritten), JSON payloads under
+``raw/<metric>/<uuid>.json`` and text artifacts such as ``volumetric.csv``
+at its root.  Each protocol result states its share of a record as an
+Outcome: scalars, flags, timing and raw payloads.
 
 Scalars under the ``scalars`` key are deterministic given seed, config,
 and device; wall-clock measurements live under ``timing`` instead, since
-repeated runs cannot reproduce them bit-for-bit.  The one documented
-exception is Q-score: each size's pass/fail verdict, and so the score,
-compares the size's wall-clock ``elapsed`` with ``time_limit_s``.
+repeated runs cannot reproduce them bit-for-bit.  Two exceptions are
+documented.  Q-score: each size's pass/fail verdict, and so the score,
+compares the size's wall-clock ``elapsed`` with ``time_limit_s``.  And QV
+circuits and CLOPS templates depend on the numpy/LAPACK build: ``su4_ops``
+calls ``kak_decompose``, which takes eigenvectors from ``np.linalg.eigh``
+with signs the build chooses, so QV scalars and CLOPS counts reproduce only
+on the same build.
 """
 from __future__ import annotations
 
@@ -84,6 +90,16 @@ def scalar(value: float, unit: str) -> dict:
     return {"value": value, "unit": unit}
 
 
+@dataclass
+class Outcome:
+    """One protocol result's share of its run record."""
+
+    scalars: dict[str, dict] = field(default_factory=dict)  # name -> scalar(value, unit)
+    flags: list[str] = field(default_factory=list)  # in record order
+    timing: dict[str, float] = field(default_factory=dict)  # wall-clock seconds
+    raw: dict[str, dict | str] = field(default_factory=dict)  # name -> RunStore.write_raw payload
+
+
 class RunStore:
     """One directory per invocation: an append-only record log plus raw files."""
 
@@ -97,12 +113,16 @@ class RunStore:
         with open(self.records_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
 
-    def write_raw(self, metric: str, payload: dict) -> str:
-        rel = os.path.join("raw", metric, f"{uuid.uuid4()}.json")
+    def write_raw(self, name: str, payload: dict | str) -> str:
+        """Write JSON to ``raw/<name>/<uuid>.json`` or text to ``<name>``; return the path."""
+        rel, text = name, payload
+        if not isinstance(payload, str):
+            rel = os.path.join("raw", name, f"{uuid.uuid4()}.json")
+            text = json.dumps(payload, sort_keys=True)
         path = os.path.join(self.root, rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            fh.write(text)
         return rel
 
     def records(self) -> list[MetricReport]:
@@ -199,11 +219,4 @@ def write_summary(store: RunStore, summary: dict) -> str:
     path = os.path.join(store.root, "summary.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-    return path
-
-
-def write_volumetric_csv(store: RunStore, csv_text: str) -> str:
-    path = os.path.join(store.root, "volumetric.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
     return path

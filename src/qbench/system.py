@@ -33,6 +33,7 @@ from .backends import Backend, BackendError, submit_and_wait
 from .circuits import Circuit, Gate, ParamCircuit, measure_all, parameterize_rz
 from .compile import route_ops, su4_ops
 from .component import CoherenceConfig, t2star_experiment
+from .reporting import Outcome, scalar
 from .simulator import ShotTable
 
 
@@ -148,6 +149,14 @@ class QVResult:
     per_depth: tuple[QVDepthResult, ...]
     flag: str | None
 
+    def outcome(self) -> Outcome:
+        return Outcome(
+            scalars={"quantum_volume": scalar(self.qv, "dimensionless"),
+                     **{f"heavy_fraction_d{d.depth}": scalar(d.heavy_fraction, "fraction")
+                        for d in self.per_depth}},
+            flags=[self.flag] if self.flag else [],
+        )
+
 
 def run_quantum_volume(backend: Backend, cfg: QVConfig, seed: int = 0) -> QVResult:
     """Measure the quantum volume over widths 2..max_width."""
@@ -254,6 +263,14 @@ class CLOPSResult:
     t_classical_s: float
     d: int
     rounds_completed: int
+
+    def outcome(self) -> Outcome:
+        return Outcome(
+            scalars={"clops": scalar(self.clops, "layer_ops_per_second"),
+                     "layers_d": scalar(self.d, "layers")},
+            timing={"t_total_s": self.t_total_s, "t_quantum_s": self.t_quantum_s,
+                    "t_classical_s": self.t_classical_s},
+        )
 
 
 class CLOPSPartialError(BackendError):
@@ -371,11 +388,21 @@ class StabilityConfig:
 
 @dataclass(frozen=True)
 class StabilityRecord:
+    qubits: tuple[int, ...]
     timestamps_s: tuple[float, ...]
     t2star_us: tuple[tuple[float, ...], ...]  # [qubit][repeat], nan when flagged
     stderr_us: tuple[tuple[float, ...], ...]
     relative_std: tuple[float, ...]
     flagged: int
+
+    def outcome(self) -> Outcome:
+        finite = [v for v in self.relative_std if np.isfinite(v)]
+        rel_std = zip(self.qubits, self.relative_std)
+        return Outcome(scalars={
+            "max_rel_std": scalar(max(finite) if finite else float("nan"), "fraction"),
+            **{f"rel_std_q{q}": scalar(rs, "fraction") for q, rs in rel_std},
+            "flagged_points": scalar(self.flagged, "count"),
+        })
 
 
 def run_stability(
@@ -414,6 +441,7 @@ def run_stability(
         else:
             rel_std.append(float("nan"))
     return StabilityRecord(
+        qubits=tuple(qubits),
         timestamps_s=tuple(stamps),
         t2star_us=tuple(tuple(s) for s in series),
         stderr_us=tuple(tuple(e) for e in errs),

@@ -266,7 +266,8 @@ def test_report_reads_records_from_before_configs(tmp_path):
     assert cli_main(["rb", "--device", "ideal", "--ideal-width", "2", "--qubit", "1",
                      "--shots", "64", "--out", str(tmp_path)]) == EXIT_METRIC_INVALID
     assert cli_main(["report", "--out", str(tmp_path)]) == EXIT_OK
-    summary = json.load(open(tmp_path / "summary.json"))
+    with open(tmp_path / "summary.json") as fh:
+        summary = json.load(fh)
     assert summary["metrics_present"] == ["rb", "readout"]
     rows = summary["component"]["per_qubit"]
     assert [r["fro_pct"] for r in rows] == [100.0, 100.0]
@@ -371,7 +372,8 @@ class TestArtifacts:
         cli_main(["readout", "--shots", "256", "--seed", "2", "--out", str(tmp_path)])
         code = cli_main(["report", "--out", str(tmp_path)])
         assert code == EXIT_OK
-        summary = json.load(open(tmp_path / "summary.json"))
+        with open(tmp_path / "summary.json") as fh:
+            summary = json.load(fh)
         assert summary["component"]["per_qubit"][0]["fro_pct"] is not None
 
     def test_appsuite_writes_csv(self, tmp_path):

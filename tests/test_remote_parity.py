@@ -61,7 +61,7 @@ def _run(argv: list[str], out: str) -> tuple[int, object]:
 @pytest.mark.parametrize("argv", RUNS, ids=[r[0] if r[0] != "coherence" else " ".join(r[:2])
                                             for r in RUNS])
 def test_remote_scalars_match_simulator(served, argv, tmp_path, monkeypatch):
-    monkeypatch.setitem(cli._COMMANDS, "qscore", (cli.cmd_qscore, SmallQScoreConfig))
+    monkeypatch.setitem(cli._COMMANDS, "qscore", (cli._COMMANDS["qscore"][0], SmallQScoreConfig))
     device, url = served
     sim_code, sim = _run([*argv, "--device", device], str(tmp_path / "sim"))
     remote_code, remote = _run([*argv, "--backend", "remote", "--remote-url", url],

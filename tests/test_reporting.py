@@ -125,4 +125,5 @@ class TestEmitReport:
         )
         summary = emit_report(store)
         path = write_summary(store, summary)
-        assert json.load(open(path))["system"]["quantum_volume"] == 4
+        with open(path) as fh:
+            assert json.load(fh)["system"]["quantum_volume"] == 4
