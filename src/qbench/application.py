@@ -151,9 +151,8 @@ def ansatz_angles(gammas, betas) -> list[float]:
 class TimeBudgetExceeded(RuntimeError):
     """The wall-clock budget ran out before the first evaluation finished."""
 
-    def __init__(self, partial: dict) -> None:
+    def __init__(self) -> None:
         super().__init__("time budget exhausted before the first evaluation")
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -299,7 +298,7 @@ def qaoa_maxcut(
 
     def objective(params: np.ndarray) -> float:
         if out_of_time():
-            raise TimeBudgetExceeded(dict(state))
+            raise TimeBudgetExceeded()
         gammas, betas = params[:P_DEPTH], params[P_DEPTH:]
         circuit = template.bind(ansatz_angles(gammas, betas))
         (table,) = submit_and_wait(

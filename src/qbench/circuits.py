@@ -110,14 +110,6 @@ class TimingModel:
     def gate_duration_ns(self, gate: Gate) -> float:
         return float(gate.duration_ns) if gate.kind == "WAIT" else self.kind_ns[gate.kind]
 
-    def scaled(self, factor: float) -> "TimingModel":
-        return TimingModel(
-            self.single_qubit_gate_ns * factor,
-            self.two_qubit_gate_ns * factor,
-            self.rz_ns * factor,
-            self.measure_ns * factor,
-        )
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -189,16 +181,14 @@ def unconnected_cz(ops: tuple[Gate, ...],
     return None
 
 
-def remap(circuit: Circuit, mapping: dict[int, int] | list[int], n_qubits: int,
+def remap(circuit: Circuit, mapping: list[int], n_qubits: int,
           label: str | None = None) -> Circuit:
     """Relabel circuit qubits onto a wider register.
 
-    ``mapping`` sends each logical index to a physical one and must be
+    ``mapping[i]`` is the physical index of logical qubit ``i``; it must be
     injective.
     """
-    if not isinstance(mapping, dict):
-        mapping = {i: p for i, p in enumerate(mapping)}
-    if len(set(mapping.values())) != len(mapping):
+    if len(set(mapping)) != len(mapping):
         raise ValueError("qubit mapping must be injective")
     ops = []
     for g in circuit.ops:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import __version__ as _toolkit_version
@@ -55,35 +55,27 @@ class MetricReport:
                 raise ValueError(f"scalar {name!r} must carry a value and a unit")
 
     def to_json_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "config": self.config,
-            "backend": self.backend,
-            "scalars": self.scalars,
-            "seed": self.seed,
-            "timing": self.timing,
-            "raw_refs": self.raw_refs,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "toolkit_version": self.toolkit_version,
-            "flags": self.flags,
-        }
+        return asdict(self)
 
-    @staticmethod
-    def from_json_dict(doc: dict) -> "MetricReport":
-        return MetricReport(
-            metric=doc["metric"],
-            config=doc["config"],
-            backend=doc["backend"],
-            scalars=doc["scalars"],
-            seed=doc["seed"],
-            timing=doc.get("timing", {}),
-            raw_refs=doc.get("raw_refs", []),
-            started_at=doc.get("started_at", ""),
-            finished_at=doc.get("finished_at", ""),
-            toolkit_version=doc.get("toolkit_version", ""),
-            flags=doc.get("flags", []),
-        )
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "MetricReport":
+        """Read a record's JSON; unknown keys are ignored.
+
+        A missing required field raises ``KeyError``.  A missing optional one
+        reads empty (``{}``, ``[]`` or ``""``): an old record's toolkit
+        version is unknown, not the running one.
+        """
+        kwargs = {}
+        for f in fields(cls):
+            if f.name in doc:
+                kwargs[f.name] = doc[f.name]
+            elif f.default_factory is not MISSING:
+                kwargs[f.name] = f.default_factory()
+            elif f.default is not MISSING:
+                kwargs[f.name] = type(f.default)()
+            else:
+                raise KeyError(f.name)
+        return cls(**kwargs)
 
 
 def scalar(value: float, unit: str) -> dict:
@@ -137,7 +129,15 @@ class RunStore:
         return out
 
 
-_COMPONENT_COLUMNS = ("t1_us", "t2star_us", "t2hahn_us", "f1q_pct", "fro_pct")
+# per-qubit summary column -> (standalone metric, scalar name); a calibrate
+# record's scalar of the same name wins over the standalone record's
+_PER_QUBIT = {
+    "t1_us": ("coherence_t1", "t1_q{q}"),
+    "t2star_us": ("coherence_t2star", "t2star_q{q}"),
+    "t2hahn_us": ("coherence_t2hahn", "t2hahn_q{q}"),
+    "f1q_pct": ("rb", "f1q_q{q}"),
+    "fro_pct": ("readout", "fro_q{q}"),
+}
 
 
 def emit_report(store: RunStore) -> dict:
@@ -148,71 +148,43 @@ def emit_report(store: RunStore) -> dict:
     system and application metrics sit beside it.  Metrics never measured
     stay null.
     """
-    latest: dict[str, MetricReport] = {}
-    for rec in store.records():
-        latest[rec.metric] = rec  # later lines win
+    latest = {rec.metric: rec for rec in store.records()}  # later lines win
+    n_qubits = max((rec.backend.get("n_qubits", 0) for rec in latest.values()), default=0)
 
-    n_qubits = 0
-    for rec in latest.values():
-        n_qubits = max(n_qubits, rec.backend.get("n_qubits", 0))
+    def first(*pairs: tuple[str, str]) -> float | None:
+        """The value of the first (metric, scalar name) the latest records hold."""
+        for metric, name in pairs:
+            entry = latest[metric].scalars.get(name) if metric in latest else None
+            if entry is not None:
+                return entry["value"]
+        return None
 
     qubit_rows = []
     for q in range(n_qubits):
         row: dict[str, float | None] = {"qubit": q}
-        for col in _COMPONENT_COLUMNS:
-            row[col] = None
+        for col, (metric, name) in _PER_QUBIT.items():
+            name = name.format(q=q)
+            row[col] = first(("calibrate", name), (metric, name))
         qubit_rows.append(row)
-
-    def fill(metric: str, key_fmt: str, col: str) -> None:
-        rec = latest.get(metric)
-        if rec is None:
-            return
-        for q in range(n_qubits):
-            entry = rec.scalars.get(key_fmt.format(q=q))
-            if entry is not None:
-                qubit_rows[q][col] = entry["value"]
-
-    fill("rb", "f1q_q{q}", "f1q_pct")
-    fill("readout", "fro_q{q}", "fro_pct")
-    fill("coherence_t1", "t1_q{q}", "t1_us")
-    fill("coherence_t2star", "t2star_q{q}", "t2star_us")
-    fill("coherence_t2hahn", "t2hahn_q{q}", "t2hahn_us")
-    fill("calibrate", "f1q_q{q}", "f1q_pct")
-    fill("calibrate", "fro_q{q}", "fro_pct")
-    fill("calibrate", "t1_q{q}", "t1_us")
-    fill("calibrate", "t2star_q{q}", "t2star_us")
-    fill("calibrate", "t2hahn_q{q}", "t2hahn_us")
-
-    def top_scalar(metric: str, name: str) -> float | None:
-        rec = latest.get(metric)
-        if rec is None:
-            return None
-        entry = rec.scalars.get(name)
-        return None if entry is None else entry["value"]
-
-    q_factor = top_scalar("calibrate", "q_factor")
-    crosstalk = top_scalar("crosstalk", "max_row_l1")
-    if crosstalk is None:
-        crosstalk = top_scalar("calibrate", "crosstalk_max_row_l1")
-    summary = {
+    return {
         "generated_at": utc_now(),
         "toolkit_version": _toolkit_version,
         "component": {
             "per_qubit": qubit_rows,
-            "q_factor": q_factor,
-            "crosstalk_max_row_l1": crosstalk,
+            "q_factor": first(("calibrate", "q_factor")),
+            "crosstalk_max_row_l1": first(("crosstalk", "max_row_l1"),
+                                          ("calibrate", "crosstalk_max_row_l1")),
         },
         "system": {
-            "quantum_volume": top_scalar("qv", "quantum_volume"),
-            "clops": top_scalar("clops", "clops"),
-            "stability_max_rel_std": top_scalar("stability", "max_rel_std"),
+            "quantum_volume": first(("qv", "quantum_volume")),
+            "clops": first(("clops", "clops")),
+            "stability_max_rel_std": first(("stability", "max_rel_std")),
         },
         "application": {
-            "qscore": top_scalar("qscore", "qscore"),
+            "qscore": first(("qscore", "qscore")),
         },
         "metrics_present": sorted(latest),
     }
-    return summary
 
 
 def write_summary(store: RunStore, summary: dict) -> str:

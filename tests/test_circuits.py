@@ -113,7 +113,7 @@ class TestDurationTable:
     ONE_OF_EACH = {"X": x(0), "X90": x90(0), "Y90": y90(0), "RZ": rz(0, 0.3), "CZ": cz(0, 1),
                    "WAIT": wait(0, 123.0), "MEASURE_ALL": measure_all()}
 
-    @pytest.mark.parametrize("timing", [TIMING, SKEWED, TIMING.scaled(2.5)])
+    @pytest.mark.parametrize("timing", [TIMING, SKEWED, TimingModel(50.0, 100.0, 0.0, 2500.0)])
     @pytest.mark.parametrize("kind", GATE_KINDS)
     def test_every_kind_matches_the_if_chain(self, timing, kind):
         gate = self.ONE_OF_EACH[kind]

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 
+from qbench.cli import EXIT_METRIC_INVALID, cli_main
 from qbench.reporting import (
     MetricReport,
     RunStore,
@@ -56,6 +58,33 @@ class TestMetricReport:
         again = MetricReport.from_json_dict(json.loads(doc))
         assert json.dumps(again.to_json_dict(), sort_keys=True) == doc
 
+    def test_reading_rules(self, tmp_path, capsys):
+        full = MetricReport(
+            metric="qv", config={"shots": 100}, backend={"n_qubits": 2},
+            scalars={"quantum_volume": scalar(4, "dimensionless")}, seed=3,
+            timing={"wall_s": 1.0}, raw_refs=["raw/qv/a.json"], started_at="t0",
+            finished_at="t1", toolkit_version="0.0.9", flags=["no_depth_passed"],
+        ).to_json_dict()
+        # a key this version does not know is ignored
+        assert MetricReport.from_json_dict({**full, "circuit_stats": {}}).to_json_dict() == full
+        # each missing optional field reads empty; an old record's version stays unknown
+        empty = {"timing": {}, "raw_refs": [], "started_at": "", "finished_at": "",
+                 "toolkit_version": "", "flags": []}
+        required = {"metric", "config", "backend", "scalars", "seed"}
+        assert {f.name for f in dataclasses.fields(MetricReport)} == required | set(empty)
+        for name, value in empty.items():
+            doc = {k: v for k, v in full.items() if k != name}
+            assert MetricReport.from_json_dict(doc).to_json_dict() == {**full, name: value}
+        # a record without its metric is a run error, not a traceback or a summary
+        run = tmp_path / "run"
+        run.mkdir()
+        lacking = {k: v for k, v in full.items() if k != "metric"}
+        (run / "records.jsonl").write_text(json.dumps(lacking) + "\n")
+        assert cli_main(["report", "--out", str(run)]) == EXIT_METRIC_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (run / "summary.json").exists()
+
     def test_scalars_need_units(self):
         with pytest.raises(ValueError):
             MetricReport(
@@ -73,9 +102,11 @@ class TestRunStore:
         recs = store.records()
         assert [r.metric for r in recs] == ["m0", "m1", "m2"]
         # appending never rewrites earlier lines
-        raw_before = open(store.records_path).read()
+        with open(store.records_path) as fh:
+            raw_before = fh.read()
         store.append(MetricReport(metric="m3", config={}, backend={}, scalars={}, seed=3))
-        assert open(store.records_path).read().startswith(raw_before)
+        with open(store.records_path) as fh:
+            assert fh.read().startswith(raw_before)
 
     def test_raw_files_land_in_metric_dirs(self, tmp_path):
         store = RunStore(str(tmp_path / "run"))
@@ -111,6 +142,26 @@ class TestEmitReport:
             store.append(MetricReport(metric=metric, config={}, backend={"n_qubits": 2},
                                       scalars={name: scalar(value, "l1_distance")}, seed=0))
         assert emit_report(store)["component"]["crosstalk_max_row_l1"] == 0.0
+
+    @staticmethod
+    def _t1_rows(tmp_path, records):
+        store = RunStore(str(tmp_path / "run"))
+        for metric, values in records:
+            store.append(MetricReport(
+                metric=metric, config={}, backend={"n_qubits": 2}, seed=0,
+                scalars={f"t1_q{q}": scalar(v, "microsecond") for q, v in values.items()}))
+        return [row["t1_us"] for row in emit_report(store)["component"]["per_qubit"]]
+
+    def test_calibrate_wins_per_qubit(self, tmp_path):
+        # the standalone record comes later and still loses
+        rows = self._t1_rows(tmp_path, [("calibrate", {0: 30.0, 1: 31.0}),
+                                        ("coherence_t1", {0: 20.0, 1: 21.0})])
+        assert rows == [30.0, 31.0]
+
+    def test_qubit_calibrate_lacks_falls_back(self, tmp_path):
+        rows = self._t1_rows(tmp_path, [("coherence_t1", {0: 20.0, 1: 21.0}),
+                                        ("calibrate", {0: 30.0})])
+        assert rows == [30.0, 21.0]
 
     def test_summary_written(self, tmp_path):
         store = RunStore(str(tmp_path / "run"))

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import UniformRandomBackend, effective_device, heavy_output_mass, ideal_unitary
 from qbench.backends import Backend, BackendError, LocalSimBackend
-from qbench.circuits import Circuit
+from qbench.circuits import Circuit, TimingModel
 from qbench.cliffords import equal_up_to_phase
 from qbench.device import DriftSchedule, ideal_device, starmon5_reference_model
 from qbench.simulator import ShotTable, run_ideal
@@ -216,7 +216,10 @@ class TestCLOPS:
     def test_doubling_latency_halves_throughput(self):
         cfg = CLOPSConfig(m_templates=20, k_updates=3, shots=500)
         base_dev = starmon5_reference_model()
-        slow_dev = dataclasses.replace(base_dev, timing=base_dev.timing.scaled(2.0))
+        t = base_dev.timing
+        slow_timing = TimingModel(2 * t.single_qubit_gate_ns, 2 * t.two_qubit_gate_ns,
+                                  2 * t.rz_ns, 2 * t.measure_ns)
+        slow_dev = dataclasses.replace(base_dev, timing=slow_timing)
         fast = run_clops(LocalSimBackend(base_dev), cfg, measured_qv=4, seed=3)
         slow = run_clops(LocalSimBackend(slow_dev), cfg, measured_qv=4, seed=3)
         # the modeled quantum window doubles; the classical window is wall
