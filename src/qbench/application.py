@@ -163,6 +163,11 @@ class QScoreConfig:
     shots: int = 1024
     max_evaluations: int = 75
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.time_limit_s < float("inf"):  # also rejects NaN
+            raise ValueError(f"Q-score time limit must be finite and > 0 s, "
+                             f"got {self.time_limit_s}")
+
 
 @dataclass
 class QAOAResult:
@@ -174,45 +179,34 @@ class QAOAResult:
     best_so_far: list[float]  # running maximum of the sampled best cut
 
 
-def _nelder_mead_max(fn, x0: np.ndarray, spread: float, max_evals: int,
-                     tol: float, out_of_time) -> tuple[np.ndarray, float, int]:
+def _nelder_mead_max(fn, x0: np.ndarray, spread: float, max_evals: int, tol: float) -> None:
     """Simplex maximization with restarts when the simplex collapses.
 
-    ``fn`` is noisy; evaluation count is the budget, and ``out_of_time``
-    short-circuits the search.
+    ``fn`` is noisy; evaluation count is the budget, and ``fn`` enforces a
+    wall-clock one by raising.  Each restart centres on the best point so far.
     """
     dim = len(x0)
     evals = 0
-
-    def f(x):
-        nonlocal evals
-        evals += 1
-        return fn(x)
-
     best_x, best_v = None, -np.inf
 
-    def record(x, v):
-        nonlocal best_x, best_v
+    def f(x):
+        nonlocal evals, best_x, best_v
+        evals += 1
+        v = fn(x)
         if v > best_v:
             best_x, best_v = np.array(x), v
+        return v
 
-    while evals < max_evals and not out_of_time():
+    while evals < max_evals:
         pts = [np.array(x0, dtype=float)]
         for k in range(dim):
             y = np.array(x0, dtype=float)
             y[k] += spread
             pts.append(y)
-        vals = []
-        for ptx in pts:
-            if evals >= max_evals or out_of_time():
-                break
-            v = f(ptx)
-            record(ptx, v)
-            vals.append(v)
+        vals = [f(p) for p in pts[: max_evals - evals]]
         if len(vals) < dim + 1:
             break
-        pts = [np.array(p) for p in pts]
-        while evals < max_evals and not out_of_time():
+        while evals < max_evals:
             order = np.argsort(vals)[::-1]  # maximizing: best first
             pts = [pts[i] for i in order]
             vals = [vals[i] for i in order]
@@ -222,11 +216,9 @@ def _nelder_mead_max(fn, x0: np.ndarray, spread: float, max_evals: int,
             centroid = np.mean(pts[:-1], axis=0)
             refl = centroid + (centroid - pts[-1])
             v_refl = f(refl)
-            record(refl, v_refl)
             if v_refl > vals[0]:
                 expand = centroid + 2 * (centroid - pts[-1])
                 v_exp = f(expand)
-                record(expand, v_exp)
                 if v_exp > v_refl:
                     pts[-1], vals[-1] = expand, v_exp
                 else:
@@ -236,21 +228,18 @@ def _nelder_mead_max(fn, x0: np.ndarray, spread: float, max_evals: int,
             else:
                 contract = centroid + 0.5 * (pts[-1] - centroid)
                 v_con = f(contract)
-                record(contract, v_con)
                 if v_con > vals[-1]:
                     pts[-1], vals[-1] = contract, v_con
                 else:
                     for k in range(1, dim + 1):
-                        if evals >= max_evals or out_of_time():
+                        if evals >= max_evals:
                             break
                         pts[k] = pts[0] + 0.5 * (pts[k] - pts[0])
                         vals[k] = f(pts[k])
-                        record(pts[k], vals[k])
         x0 = best_x
         spread *= 0.5
         if spread < 4 * tol:
             break
-    return best_x if best_x is not None else np.array(x0), best_v, evals
 
 
 def qaoa_maxcut(
@@ -273,11 +262,8 @@ def qaoa_maxcut(
     start = time.perf_counter()
     deadline = None if time_budget_s is None else start + time_budget_s
 
-    if not graph.edges:
+    if not graph.edges:  # every cut is 0: nothing to sample or optimize
         return QAOAResult((), 0.0, 0, 0, time.perf_counter() - start, [])
-
-    def out_of_time() -> bool:
-        return deadline is not None and time.perf_counter() >= deadline
 
     mapping = backend.preferred_qubit_order()[: graph.n_nodes]
     cuts = cut_values(graph)
@@ -297,7 +283,7 @@ def qaoa_maxcut(
     }
 
     def objective(params: np.ndarray) -> float:
-        if out_of_time():
+        if deadline is not None and time.perf_counter() >= deadline:
             raise TimeBudgetExceeded()
         gammas, betas = params[:P_DEPTH], params[P_DEPTH:]
         circuit = template.bind(ansatz_angles(gammas, betas))
@@ -317,12 +303,8 @@ def qaoa_maxcut(
     x0 = np.array([0.8] * P_DEPTH + [0.4] * P_DEPTH)
     final_mean = None
     try:
-        _nelder_mead_max(
-            objective, x0, spread=0.6,
-            max_evals=cfg.max_evaluations,
-            tol=SIMPLEX_TOL,
-            out_of_time=out_of_time,
-        )
+        _nelder_mead_max(objective, x0, spread=0.6, max_evals=cfg.max_evaluations,
+                         tol=SIMPLEX_TOL)
         # fresh sample at the best point: the reported mean must not carry
         # the selection bias of a maximum over noisy evaluations
         final_mean = objective(np.array(state["best_params"]))
@@ -404,9 +386,6 @@ def run_qscore(backend: Backend, cfg: QScoreConfig = QScoreConfig(), seed: int =
             opt, _ = maxcut_brute(graph)
             optima.append(opt)
             randoms.append(graph.n_edges / 2.0)
-            if not graph.edges:
-                cuts.append(0.0)
-                continue
             try:
                 res = qaoa_maxcut(
                     graph,

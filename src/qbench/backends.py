@@ -29,7 +29,7 @@ import json
 import numpy as np
 
 from .circuits import Circuit, TimingModel, unconnected_cz
-from .device import DeviceModel
+from .device import DeviceModel, readout_fidelity_from_matrix
 from .simulator import ShotTable, run_noisy
 
 
@@ -114,7 +114,7 @@ class Backend(abc.ABC):
         for a, b in device.edges:
             degree[a] += 1
             degree[b] += 1
-        fidelity = [1.0 - (q.readout[0][1] + q.readout[1][0]) / 2 for q in device.qubits]
+        fidelity = [readout_fidelity_from_matrix(q.readout) for q in device.qubits]
         return sorted(degree, key=lambda q: (-degree[q], -fidelity[q], q))
 
 

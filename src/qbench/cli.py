@@ -56,6 +56,7 @@ from .system import (
     run_clops,
     run_quantum_volume,
     run_stability,
+    volume_width,
 )
 
 EXIT_OK = 0
@@ -68,6 +69,16 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def measured_volume(text: str) -> int:
+    """argparse type for ``clops --qv``: a quantum volume a QV run can report."""
+    value = int(text)
+    try:
+        volume_width(value)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     return value
 
 
@@ -100,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qv.add_argument("--max-width", type=positive_int)
     p_qv.add_argument("--circuits", dest="n_circuits", type=positive_int)
     p_clops = sub.add_parser("clops", parents=[common])
-    p_clops.add_argument("--qv", type=positive_int, default=4, help="measured quantum volume")
+    p_clops.add_argument("--qv", type=measured_volume, default=4, help="measured quantum volume")
     p_clops.add_argument("--templates", dest="m_templates", type=positive_int)
     p_clops.add_argument("--updates", dest="k_updates", type=positive_int)
     p_stab = sub.add_parser("stability", parents=[common])

@@ -13,16 +13,19 @@ realized as the echo pair X.X and one of the eight axis-cycling rotations
 uses its one-pulse virtual-Z form; all other entries follow the standard
 XY decomposition.
 
-Composition and inverse tables are built at import time by lookup: each
-2x2 matrix gets a key that is the same for every global phase (see
-``_phase_keys``), all 576 products and 24 inverses are keyed at once, and
-each key maps back to its element through a dict.  The module refuses to
-load if two sequences share a key or a product's key is not among the 24.
+Each element's matrix is ``ops_unitary`` of the native gates ``to_ops``
+emits, which are the gates randomized benchmarking runs; ``PULSE_UNITARIES``
+is the one table of pulse unitaries, which synthesis checks and the
+simulator also use.  Composition and inverse tables are built at import
+time by lookup: each 2x2 matrix gets a key that is the same for every
+global phase (see ``_phase_keys``), all 576 products and 24 inverses are
+keyed at once, and each key maps back to its element through a dict.
+The module refuses to load if two sequences share a key or a product's key
+is not among the 24.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -34,6 +37,7 @@ _SQ2 = 1.0 / np.sqrt(2.0)
 X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
 X90_MAT = _SQ2 * np.array([[1, -1j], [-1j, 1]], dtype=complex)
 Y90_MAT = _SQ2 * np.array([[1, -1], [1, 1]], dtype=complex)
+PULSE_UNITARIES = {"X": X_MAT, "X90": X90_MAT, "Y90": Y90_MAT}
 
 
 def rz_matrix(theta: float) -> np.ndarray:
@@ -42,17 +46,13 @@ def rz_matrix(theta: float) -> np.ndarray:
     )
 
 
-_TOKEN_MATRIX = {
-    "X": X_MAT,
-    "Y": rz_matrix(np.pi) @ X_MAT,
-    "X90": X90_MAT,
-    "Y90": Y90_MAT,
-    "Xm90": rz_matrix(np.pi) @ X90_MAT @ rz_matrix(np.pi),
-    "Ym90": rz_matrix(np.pi) @ Y90_MAT @ rz_matrix(np.pi),
-    "Z1": rz_matrix(np.pi / 2),
-    "Z2": rz_matrix(np.pi),
-    "Z3": rz_matrix(3 * np.pi / 2),
-}
+def ops_unitary(ops: list[Gate] | tuple[Gate, ...]) -> np.ndarray:
+    """Unitary of circuit-order single-qubit gates (later gates multiply on the left)."""
+    m = np.eye(2, dtype=complex)
+    for g in ops:
+        m = (rz_matrix(g.angle_rad) if g.kind == "RZ" else PULSE_UNITARIES[g.kind]) @ m
+    return m
+
 
 # Circuit-order pulse sequences for the 24 elements.
 _CLIFFORD_PULSES: tuple[tuple[str, ...], ...] = (
@@ -87,11 +87,6 @@ _CLIFFORD_PULSES: tuple[tuple[str, ...], ...] = (
 )
 
 N_CLIFFORDS = 24
-
-
-def _sequence_matrix(tokens: tuple[str, ...]) -> np.ndarray:
-    """Unitary of a circuit-order token sequence (later tokens multiply on the left)."""
-    return reduce(lambda acc, t: _TOKEN_MATRIX[t] @ acc, tokens, np.eye(2, dtype=complex))
 
 
 def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
@@ -170,7 +165,7 @@ def _phase_keys(mats: np.ndarray) -> list[bytes]:
 def _build_tables() -> tuple[
     tuple[np.ndarray, ...], np.ndarray, np.ndarray, int
 ]:
-    mats = np.array([_sequence_matrix(p) for p in _CLIFFORD_PULSES])
+    mats = np.array([ops_unitary(e.to_ops(0)) for e in ELEMENTS])
     index: dict[bytes, int] = {}
     for k, key in enumerate(_phase_keys(mats)):
         first = index.setdefault(key, k)
@@ -190,8 +185,8 @@ def _build_tables() -> tuple[
     return tuple(mats), compose.reshape(N_CLIFFORDS, N_CLIFFORDS), inverse, identity
 
 
-MATRICES, COMPOSE_TABLE, INVERSE_TABLE, IDENTITY_INDEX = _build_tables()
 ELEMENTS = tuple(CliffordElement(i, p) for i, p in enumerate(_CLIFFORD_PULSES))
+MATRICES, COMPOSE_TABLE, INVERSE_TABLE, IDENTITY_INDEX = _build_tables()
 
 
 def compose_indices(indices: list[int] | tuple[int, ...]) -> int:

@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 
 from .circuits import Gate, ParamRZ, cz, normalize_angle, rz, x, x90
-from .cliffords import X90_MAT, X_MAT, equal_up_to_phase, rz_matrix
+from .cliffords import X_MAT, equal_up_to_phase, ops_unitary, rz_matrix
 
 _EPS = 1e-12
 
@@ -91,23 +91,9 @@ def rx_angles(theta: float) -> tuple[float, float, float]:
     return zxzxz_angles(u / np.sqrt(np.linalg.det(u)))
 
 
-def _ops_matrix_1q(ops: list[Gate]) -> np.ndarray:
-    m = np.eye(2, dtype=complex)
-    for g in ops:
-        if g.kind == "X":
-            m = X_MAT @ m
-        elif g.kind == "X90":
-            m = X90_MAT @ m
-        elif g.kind == "RZ":
-            m = rz_matrix(g.angle_rad) @ m
-        else:
-            raise ValueError(f"non-1q gate {g.kind} in local sequence")
-    return m
-
-
 def _cleanup(ops: list[Gate], target: np.ndarray, qubit: int) -> list[Gate]:
     out = [g for g in ops if not (g.kind == "RZ" and abs(normalize_angle(g.angle_rad)) <= _EPS)]
-    got = _ops_matrix_1q(out)
+    got = ops_unitary(out)
     if not equal_up_to_phase(got, target, tol=1e-8):
         raise RuntimeError("single-qubit synthesis failed to reproduce its target")
     return out

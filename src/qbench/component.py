@@ -30,6 +30,7 @@ import numpy as np
 from . import cliffords
 from .backends import Backend, submit_and_wait
 from .circuits import Circuit, Gate, measure_all, rz, wait, x, x90
+from .device import readout_fidelity_from_matrix
 from .fitting import DataSeries, FitResult, fit_damped_sinusoid, fit_exp_decay, fit_geometric
 from .reporting import Outcome, scalar
 from .simulator import index_to_bitstring
@@ -164,17 +165,11 @@ class ReadoutAssignment:
     per_qubit: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
 
     def fidelity(self, qubit: int) -> float:
-        m = self.per_qubit[qubit]
-        return readout_fidelity_from_matrix(m)
+        return readout_fidelity_from_matrix(self.per_qubit[qubit])
 
     def outcome(self) -> Outcome:
         return Outcome(scalars={f"fro_q{q}": scalar(self.fidelity(q) * 100, "percent")
                                 for q in range(len(self.per_qubit))})
-
-
-def readout_fidelity_from_matrix(m) -> float:
-    """F = 1 - (M10 + M01)/2 for a 2x2 assignment matrix."""
-    return 1.0 - (m[1][0] + m[0][1]) / 2.0
 
 
 def _basis_prep_circuit(n_qubits: int, bits: int) -> Circuit:

@@ -181,6 +181,11 @@ def load_device(path: str) -> DeviceModel:
         return DeviceModel.from_json_dict(json.load(fh))
 
 
+def readout_fidelity_from_matrix(m) -> float:
+    """F = 1 - (M10 + M01)/2 for a 2x2 assignment matrix."""
+    return 1.0 - (m[1][0] + m[0][1]) / 2.0
+
+
 def pulse_decoherence_polarization(t1_us: float, t2_us: float, gate_ns: float) -> float:
     """Depolarizing-equivalent polarization of idle decay over one pulse."""
     t = gate_ns / 1000.0

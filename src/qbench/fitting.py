@@ -17,6 +17,11 @@ data: degenerate, decay-free or oscillation-free series come back flagged
 "unidentifiable" with converged=False.  Weighting by shot noise is off by
 default; pass weighted=True for inverse-variance weights.
 
+Unweighted standard errors are residual-scaled with n - k degrees of
+freedom, 2 for randomized benchmarking's 5 lengths, where a t-distribution
+holds 90.5% of its mass within 3 sigma: 3-sigma coverage of unweighted RB
+fits measured 86-96 in 100, weighted 99-100 (README, acceptance suite).
+
 All fit functions are pure and safe to call concurrently.
 """
 from __future__ import annotations

@@ -35,6 +35,11 @@ def utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+# a record field's annotation before any "[" -> (Python type, JSON name) of its value
+_JSON_TYPES = {"str": (str, "string"), "int": (int, "integer"), "dict": (dict, "object"),
+               "list": (list, "array")}
+
+
 @dataclass
 class MetricReport:
     metric: str
@@ -51,7 +56,7 @@ class MetricReport:
 
     def __post_init__(self) -> None:
         for name, entry in self.scalars.items():
-            if "value" not in entry or "unit" not in entry:
+            if not isinstance(entry, dict) or "value" not in entry or "unit" not in entry:
                 raise ValueError(f"scalar {name!r} must carry a value and a unit")
 
     def to_json_dict(self) -> dict:
@@ -63,18 +68,28 @@ class MetricReport:
 
         A missing required field raises ``KeyError``.  A missing optional one
         reads empty (``{}``, ``[]`` or ``""``): an old record's toolkit
-        version is unknown, not the running one.
+        version is unknown, not the running one.  A field whose JSON type is
+        not its annotation's, a scalar that is not an object with a value and
+        a unit, or a ``backend.n_qubits`` that is not an integer raises
+        ``ValueError``.
         """
+        if not isinstance(doc, dict):
+            raise ValueError("a record must be a JSON object")
         kwargs = {}
         for f in fields(cls):
             if f.name in doc:
                 kwargs[f.name] = doc[f.name]
+                json_type, json_name = _JSON_TYPES[f.type.partition("[")[0]]
+                if not isinstance(doc[f.name], json_type):
+                    raise ValueError(f"record field {f.name!r} must be a JSON {json_name}")
             elif f.default_factory is not MISSING:
                 kwargs[f.name] = f.default_factory()
             elif f.default is not MISSING:
                 kwargs[f.name] = type(f.default)()
             else:
                 raise KeyError(f.name)
+        if not isinstance(kwargs["backend"].get("n_qubits", 0), int):
+            raise ValueError("record field 'backend.n_qubits' must be an integer")
         return cls(**kwargs)
 
 

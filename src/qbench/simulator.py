@@ -65,13 +65,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, unconnected_cz
-from .cliffords import X90_MAT, X_MAT, Y90_MAT
+from .cliffords import PULSE_UNITARIES
 from .device import DeviceModel
 
 IDEAL_QUBIT_CAP = 12
 MAX_REGISTER_QUBITS = 63  # outcome indices are int64, one bit per qubit
 
-_GATE_1Q = {"X": X_MAT, "X90": X90_MAT, "Y90": Y90_MAT}
 _BITS = frozenset("01")
 
 
@@ -131,7 +130,7 @@ class ShotTable:
 _VEC_I = np.array([1.0, 0.0, 0.0, 1.0])
 _IDENTITY_4 = np.eye(4, dtype=complex)
 _IDENTITY_2 = (1 + 0j, 0j, 0j, 1 + 0j)  # a pure-path pending map, row-major
-_PULSE_SUPEROPS = {kind: np.kron(u, u.conj()) for kind, u in _GATE_1Q.items()}
+_PULSE_SUPEROPS = {kind: np.kron(u, u.conj()) for kind, u in PULSE_UNITARIES.items()}
 
 
 def depolarizing_superop(p: float) -> np.ndarray:
@@ -261,7 +260,7 @@ def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> 
     pending: list = [None] * k
     if device is None:
         d = 2
-        pulses = {kind: tuple(u.reshape(-1).tolist()) for kind, u in _GATE_1Q.items()}
+        pulses = {kind: tuple(u.reshape(-1).tolist()) for kind, u in PULSE_UNITARIES.items()}
         layers = [circuit.body()]
 
         def push(i: int, m: tuple) -> None:
@@ -316,7 +315,7 @@ def _evolve(circuit: Circuit, qubits: list[int], device: DeviceModel | None) -> 
         duration = 0.0
         pulsed: dict[int, str] = {}  # axis -> pulse kind, applied with the layer's idle decay
         for g in layer:
-            if g.kind in _GATE_1Q:
+            if g.kind in PULSE_UNITARIES:
                 i = pos[g.qubits[0]]
                 if device is None:
                     push(i, pulses[g.kind])

@@ -202,7 +202,7 @@ def run_quantum_volume(backend: Backend, cfg: QVConfig, seed: int = 0) -> QVResu
     # depth up to d passing
     best_d = 0
     for r in results:
-        if r.passed and (r.depth == 2 or best_d == r.depth - 1):
+        if r.passed:
             best_d = r.depth
         else:
             break
@@ -302,6 +302,14 @@ def make_clops_templates(
     return templates
 
 
+def volume_width(quantum_volume: int) -> int:
+    """The width d of a quantum volume 2^d that a QV run reports, which has d >= 2."""
+    d = int(quantum_volume).bit_length() - 1
+    if d < 2 or quantum_volume != 1 << d:
+        raise ValueError(f"a quantum volume is a power of two of at least 4, got {quantum_volume}")
+    return d
+
+
 def run_clops(
     backend: Backend,
     cfg: CLOPSConfig,
@@ -315,9 +323,7 @@ def run_clops(
     predecessor's shots exist.  Queue time does not exist on the local
     backend; remote adapters must exclude it from the measured window.
     """
-    if measured_qv < 2:
-        raise ValueError("throughput needs a measured quantum volume of at least 2")
-    d = int(np.log2(measured_qv))  # template depth and width
+    d = volume_width(measured_qv)  # template depth and width
     if d > backend.n_qubits:
         raise ValueError(f"{d}-qubit templates do not fit a {backend.n_qubits}-qubit backend")
     order = backend.preferred_qubit_order()

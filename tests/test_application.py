@@ -1,5 +1,6 @@
 """Application-metric tests: graphs, cut optimization, algorithm suite."""
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import UniformRandomBackend, ideal_unitary
+from qbench import application
 from qbench.backends import LocalSimBackend
 from qbench.circuits import Circuit, Gate, measure_all, normalize_angle, rz, x90
 from qbench.cliffords import equal_up_to_phase
@@ -207,6 +209,29 @@ class TestQAOA:
         g = Graph(2, ((0, 1),))
         with pytest.raises(TimeBudgetExceeded):
             qaoa_maxcut(g, ideal_backend_5, QScoreConfig(), seed=1, time_budget_s=0.0)
+
+    def test_budget_runs_out_mid_search(self, monkeypatch):
+        # the clock moves 1 s per executed batch, however often it is read
+        clock = {"now": 0.0}
+        tables = []
+
+        class ClockedBackend(LocalSimBackend):
+            def run(self, circuits, shots, seed):
+                clock["now"] += 1.0
+                out = super().run(circuits, shots, seed)
+                tables.extend(out)
+                return out
+
+        monkeypatch.setattr(application, "time", SimpleNamespace(perf_counter=lambda: clock["now"]))
+        backend = ClockedBackend(ideal_device(5))
+        g = gen_erdos_renyi(4, 0.5, seed=7)
+        cfg = QScoreConfig(shots=256)
+        res = qaoa_maxcut(g, backend, cfg, seed=2, time_budget_s=10.5)
+        mapping = backend.preferred_qubit_order()[: g.n_nodes]
+        means = [int(cut_values(g) @ t.marginal(mapping)) / cfg.shots for t in tables]
+        assert res.evaluations == len(means) == 11
+        assert res.best_mean_cut == max(means)  # no re-sample after the budget ran out
+        assert res.elapsed_s == 11.0
 
     def test_graph_too_wide(self):
         be = LocalSimBackend(ideal_device(2))

@@ -329,6 +329,20 @@ class TestRangeArguments:
         assert "Traceback" not in capsys.readouterr().err
         assert RunStore(str(tmp_path)).records() == []
 
+    @pytest.mark.parametrize("limit", ["nan", "0", "-1", "inf"])
+    def test_qscore_time_limit_must_be_finite_and_positive(self, tmp_path, capsys, limit):
+        argv = ["qscore", "--time-limit", limit, "--shots", "16", "--out", str(tmp_path)]
+        assert cli_main(argv) == EXIT_USAGE
+        assert "time limit must be finite and > 0 s" in capsys.readouterr().err
+        assert RunStore(str(tmp_path)).records() == []
+
+    @pytest.mark.parametrize("volume", ["2", "3", "6"])
+    def test_clops_volume_is_one_a_qv_run_reports(self, tmp_path, capsys, volume):
+        argv = ["clops", "--qv", volume, "--templates", "1", "--out", str(tmp_path)]
+        assert cli_main(argv) == EXIT_USAGE
+        assert "a quantum volume is a power of two of at least 4" in capsys.readouterr().err
+        assert RunStore(str(tmp_path)).records() == []
+
     def test_qubit_outside_the_served_device_is_usage_error(self, tmp_path, capsys):
         with MockServer(LocalSimBackend(ideal_device(3))) as srv:
             code = cli_main(["rb", "--backend", "remote", "--remote-url", srv.url,

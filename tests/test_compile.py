@@ -8,10 +8,9 @@ from conftest import random_su2, random_u4
 from helpers import ideal_unitary
 
 from qbench.circuits import Circuit, Gate, ParamCircuit, ParamRZ, cz, rz, x90
-from qbench.cliffords import equal_up_to_phase
+from qbench.cliffords import equal_up_to_phase, ops_unitary
 from qbench.compile import (
     _common_neighbor,
-    _ops_matrix_1q,
     cnot_ops,
     h_matrix,
     kak_decompose,
@@ -34,7 +33,7 @@ class TestSU2:
         for _ in range(200):
             u = random_su2(rng)
             ops = su2_ops(u, 0)
-            assert equal_up_to_phase(_ops_matrix_1q(ops), u, 1e-8)
+            assert equal_up_to_phase(ops_unitary(ops), u, 1e-8)
             assert sum(1 for g in ops if g.kind != "RZ") <= 2
 
     def test_diagonal_is_free(self):
@@ -49,7 +48,7 @@ class TestSU2:
         u = np.array([[0, 1j], [1, 0]], dtype=complex)
         ops = su2_ops(u, 0)
         assert sum(1 for g in ops if g.kind != "RZ") == 1
-        assert equal_up_to_phase(_ops_matrix_1q(ops), u, 1e-9)
+        assert equal_up_to_phase(ops_unitary(ops), u, 1e-9)
 
 
 class TestSU4:

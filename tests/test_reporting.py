@@ -85,6 +85,22 @@ class TestMetricReport:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (run / "summary.json").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("scalars", []),
+        ("backend", []),
+        ("scalars", {"quantum_volume": 3}),
+        ("backend", {"n_qubits": "5"}),
+        ("metric", ["qv"]),
+    ])
+    def test_wrong_typed_field_is_a_run_error(self, tmp_path, capsys, key, value):
+        doc = {"metric": "qv", "config": {}, "backend": {"n_qubits": 2},
+               "scalars": {"quantum_volume": scalar(4, "dimensionless")}, "seed": 3, key: value}
+        (tmp_path / "records.jsonl").write_text(json.dumps(doc) + "\n")
+        assert cli_main(["report", "--out", str(tmp_path)]) == EXIT_METRIC_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "summary.json").exists()
+
     def test_scalars_need_units(self):
         with pytest.raises(ValueError):
             MetricReport(

@@ -205,6 +205,12 @@ class TestCLOPS:
         with pytest.raises(ValueError):
             run_clops(starmon_backend, CLOPSConfig(), measured_qv=1, seed=0)
 
+    @pytest.mark.parametrize("volume", [2, 3, 6])
+    def test_volume_must_be_one_a_qv_run_reports(self, starmon_backend, volume):
+        cfg = CLOPSConfig(m_templates=1, k_updates=1, shots=8)
+        with pytest.raises(ValueError, match="power of two of at least 4"):
+            run_clops(starmon_backend, cfg, measured_qv=volume, seed=0)
+
     def test_partial_failure_carries_rounds(self, starmon_backend):
         inner = LocalSimBackend(starmon_backend.device)
         failing = FailAfterBackend(inner=inner, fail_after=2)
