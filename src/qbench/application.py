@@ -16,6 +16,7 @@ trip) and reports a uniform-floor-normalized Hellinger fidelity per
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import time
 from dataclasses import dataclass
@@ -167,6 +168,11 @@ class QScoreConfig:
         if not 0.0 < self.time_limit_s < float("inf"):  # also rejects NaN
             raise ValueError(f"Q-score time limit must be finite and > 0 s, "
                              f"got {self.time_limit_s}")
+        for name in ("shots", "max_evaluations", "graphs_per_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"Q-score {name} must be at least 1, got {getattr(self, name)}")
+        if list(self.sizes) != sorted(self.sizes):
+            raise ValueError("sizes must be ascending")
 
 
 @dataclass
@@ -176,14 +182,16 @@ class QAOAResult:
     best_sampled_cut: int
     evaluations: int
     elapsed_s: float
-    best_so_far: list[float]  # running maximum of the sampled best cut
+    best_so_far: list[int]  # running maximum of the sampled best cut
 
 
-def _nelder_mead_max(fn, x0: np.ndarray, spread: float, max_evals: int, tol: float) -> None:
+def _nelder_mead_max(fn, x0: np.ndarray, spread: float, max_evals: int,
+                     tol: float) -> tuple[np.ndarray, float] | None:
     """Simplex maximization with restarts when the simplex collapses.
 
-    ``fn`` is noisy; evaluation count is the budget, and ``fn`` enforces a
-    wall-clock one by raising.  Each restart centres on the best point so far.
+    ``fn`` is noisy; evaluation count is the budget, and ``fn`` ends the
+    search by raising :class:`TimeBudgetExceeded`.  Each restart centres on
+    the best point so far.  Returns the best point and its value, or None.
     """
     dim = len(x0)
     evals = 0
@@ -197,49 +205,51 @@ def _nelder_mead_max(fn, x0: np.ndarray, spread: float, max_evals: int, tol: flo
             best_x, best_v = np.array(x), v
         return v
 
-    while evals < max_evals:
-        pts = [np.array(x0, dtype=float)]
-        for k in range(dim):
-            y = np.array(x0, dtype=float)
-            y[k] += spread
-            pts.append(y)
-        vals = [f(p) for p in pts[: max_evals - evals]]
-        if len(vals) < dim + 1:
-            break
+    with contextlib.suppress(TimeBudgetExceeded):
         while evals < max_evals:
-            order = np.argsort(vals)[::-1]  # maximizing: best first
-            pts = [pts[i] for i in order]
-            vals = [vals[i] for i in order]
-            size = max(np.linalg.norm(p - pts[0]) for p in pts[1:])
-            if size < tol:
-                break  # collapsed; restart around the best point
-            centroid = np.mean(pts[:-1], axis=0)
-            refl = centroid + (centroid - pts[-1])
-            v_refl = f(refl)
-            if v_refl > vals[0]:
-                expand = centroid + 2 * (centroid - pts[-1])
-                v_exp = f(expand)
-                if v_exp > v_refl:
-                    pts[-1], vals[-1] = expand, v_exp
-                else:
+            pts = [np.array(x0, dtype=float)]
+            for k in range(dim):
+                y = np.array(x0, dtype=float)
+                y[k] += spread
+                pts.append(y)
+            vals = [f(p) for p in pts[: max_evals - evals]]
+            if len(vals) < dim + 1:
+                break
+            while evals < max_evals:
+                order = np.argsort(vals)[::-1]  # maximizing: best first
+                pts = [pts[i] for i in order]
+                vals = [vals[i] for i in order]
+                size = max(np.linalg.norm(p - pts[0]) for p in pts[1:])
+                if size < tol:
+                    break  # collapsed; restart around the best point
+                centroid = np.mean(pts[:-1], axis=0)
+                refl = centroid + (centroid - pts[-1])
+                v_refl = f(refl)
+                if v_refl > vals[0]:
+                    expand = centroid + 2 * (centroid - pts[-1])
+                    v_exp = f(expand)
+                    if v_exp > v_refl:
+                        pts[-1], vals[-1] = expand, v_exp
+                    else:
+                        pts[-1], vals[-1] = refl, v_refl
+                elif v_refl > vals[-2]:
                     pts[-1], vals[-1] = refl, v_refl
-            elif v_refl > vals[-2]:
-                pts[-1], vals[-1] = refl, v_refl
-            else:
-                contract = centroid + 0.5 * (pts[-1] - centroid)
-                v_con = f(contract)
-                if v_con > vals[-1]:
-                    pts[-1], vals[-1] = contract, v_con
                 else:
-                    for k in range(1, dim + 1):
-                        if evals >= max_evals:
-                            break
-                        pts[k] = pts[0] + 0.5 * (pts[k] - pts[0])
-                        vals[k] = f(pts[k])
-        x0 = best_x
-        spread *= 0.5
-        if spread < 4 * tol:
-            break
+                    contract = centroid + 0.5 * (pts[-1] - centroid)
+                    v_con = f(contract)
+                    if v_con > vals[-1]:
+                        pts[-1], vals[-1] = contract, v_con
+                    else:
+                        for k in range(1, dim + 1):
+                            if evals >= max_evals:
+                                break
+                            pts[k] = pts[0] + 0.5 * (pts[k] - pts[0])
+                            vals[k] = f(pts[k])
+            x0 = best_x
+            spread *= 0.5
+            if spread < 4 * tol:
+                break
+    return None if best_x is None else (best_x, best_v)
 
 
 def qaoa_maxcut(
@@ -274,50 +284,35 @@ def qaoa_maxcut(
         n_qubits=backend.n_qubits,
         connectivity=backend.connectivity,
     )
-    state = {
-        "best_sampled": 0,
-        "best_mean": -np.inf,
-        "best_params": tuple(),
-        "evals": 0,
-        "history": [],
-    }
+    history: list[int] = []  # best sampled cut after each evaluation
 
     def objective(params: np.ndarray) -> float:
         if deadline is not None and time.perf_counter() >= deadline:
             raise TimeBudgetExceeded()
         gammas, betas = params[:P_DEPTH], params[P_DEPTH:]
         circuit = template.bind(ansatz_angles(gammas, betas))
-        (table,) = submit_and_wait(
-            backend, [circuit], cfg.shots, seed=seed * 7 + state["evals"]
-        )
-        state["evals"] += 1
+        (table,) = submit_and_wait(backend, [circuit], cfg.shots, seed=seed * 7 + len(history))
         counts = table.marginal(mapping)
-        state["best_sampled"] = max(state["best_sampled"], int(cuts[counts > 0].max()))
-        state["history"].append(state["best_sampled"])
-        mean = int(cuts @ counts) / cfg.shots
-        if mean > state["best_mean"]:
-            state["best_mean"] = mean
-            state["best_params"] = tuple(map(float, params))
-        return mean
+        history.append(max(history[-1:] + [int(cuts[counts > 0].max())]))
+        return int(cuts @ counts) / cfg.shots
 
     x0 = np.array([0.8] * P_DEPTH + [0.4] * P_DEPTH)
-    final_mean = None
-    try:
-        _nelder_mead_max(objective, x0, spread=0.6, max_evals=cfg.max_evaluations,
-                         tol=SIMPLEX_TOL)
-        # fresh sample at the best point: the reported mean must not carry
-        # the selection bias of a maximum over noisy evaluations
-        final_mean = objective(np.array(state["best_params"]))
-    except TimeBudgetExceeded:
-        if state["evals"] == 0:
-            raise
+    best = _nelder_mead_max(objective, x0, spread=0.6, max_evals=cfg.max_evaluations,
+                            tol=SIMPLEX_TOL)
+    if best is None:
+        raise TimeBudgetExceeded()
+    best_params, best_mean = best
+    # fresh sample at the best point: the reported mean must not carry the selection
+    # bias of a maximum over noisy evaluations (after a budget stop, the best one stands)
+    with contextlib.suppress(TimeBudgetExceeded):
+        best_mean = objective(best_params)
     return QAOAResult(
-        best_params=state["best_params"],
-        best_mean_cut=float(state["best_mean"] if final_mean is None else final_mean),
-        best_sampled_cut=int(state["best_sampled"]),
-        evaluations=state["evals"],
+        best_params=tuple(map(float, best_params)),
+        best_mean_cut=float(best_mean),
+        best_sampled_cut=history[-1],
+        evaluations=len(history),
         elapsed_s=time.perf_counter() - start,
-        best_so_far=list(state["history"]),
+        best_so_far=history,
     )
 
 
@@ -366,8 +361,6 @@ def run_qscore(backend: Backend, cfg: QScoreConfig = QScoreConfig(), seed: int =
     is not run: it fails with the flag ``exceeds_backend``, so the score
     comes from the sizes that fit.
     """
-    if list(cfg.sizes) != sorted(cfg.sizes):
-        raise ValueError("sizes must be ascending")
     per_size = []
     for n in cfg.sizes:
         if n > backend.n_qubits:
@@ -441,6 +434,10 @@ _VARIANTS_PER_CELL = 3  # hidden strings and Fourier basis states per width
 class AppSuiteConfig:
     max_width: int = 5  # widths run from 2 up to this one
     shots: int = 1024
+
+    def __post_init__(self) -> None:
+        if self.max_width < 2:
+            raise ValueError(f"the suite's widths start at 2, got max_width {self.max_width}")
 
 
 @dataclass(frozen=True)

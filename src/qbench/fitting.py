@@ -12,9 +12,11 @@ grid search is unweighted; shot-noise weights enter in the polish.
 
 The solver is a damped least-squares (Levenberg-Marquardt) loop with
 analytic Jacobians, box bounds enforced by projection, and standard errors
-from the residual-scaled inverse normal matrix.  Fits never raise on bad
-data: degenerate, decay-free or oscillation-free series come back flagged
-"unidentifiable" with converged=False.  Weighting by shot noise is off by
+from the residual-scaled inverse normal matrix.  Degenerate, decay-free or
+oscillation-free series come back flagged "unidentifiable" (converged=False);
+only the damped sinusoid raises ``ValueError``, on fewer than 8 points,
+``omega_guess <= 0`` or a scan under 1.5 periods, and ``t2star_experiment``
+reports that as an unidentifiable fit.  Weighting by shot noise is off by
 default; pass weighted=True for inverse-variance weights.
 
 Unweighted standard errors are residual-scaled with n - k degrees of

@@ -50,10 +50,10 @@ class RemoteBackend(Backend):
     batch, waits up to ``timeout_s`` for it and builds its tables from the
     ``done`` document that ``wait`` returns, so a finished job costs no
     extra GET.  On :class:`SubmitTimeout` the handle stays valid for
-    ``wait`` and ``result``, up to the ``_FINISHED_JOBS_KEPT`` latest; once
-    ``run`` or ``result`` has returned a job's tables the client forgets its
-    handle.  A request that fails twice on the network raises
-    :class:`BackendError`.
+    ``wait`` and ``result``, up to the ``_FINISHED_JOBS_KEPT`` latest; the
+    client forgets a handle once it has read the job's ``done`` document or
+    ``run`` has raised any other :class:`BackendError` for it.  A request
+    that fails twice on the network raises :class:`BackendError`.
     """
 
     def __init__(
@@ -97,16 +97,16 @@ class RemoteBackend(Backend):
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[ShotTable]:
         handle = self.submit(circuits, shots, seed)
         try:
-            doc = self.wait(handle, self.timeout_s)
+            return self._tables(handle, self.wait(handle, self.timeout_s))
         except SubmitTimeout:  # keep the handle for late retrieval, within the cap
             self._timed_out[handle] = None
             while len(self._timed_out) > _FINISHED_JOBS_KEPT:
                 oldest = next(iter(self._timed_out))
                 del self._timed_out[oldest], self._context[oldest]
             raise
-        tables = self._tables(handle, doc)
-        del self._context[handle]
-        return tables
+        except BackendError:  # a failed job or a malformed reply: nothing to retrieve later
+            self._context.pop(handle, None)
+            raise
 
     def submit(self, circuits: list[Circuit], shots: int, seed: int) -> str:
         body = {
@@ -187,16 +187,14 @@ class RemoteBackend(Backend):
         doc = self.status(handle)
         if doc["status"] != "done":
             raise SubmitTimeout(handle, f"job {handle} is {doc['status']}")
-        tables = self._tables(handle, doc)
-        del self._context[handle]
-        self._timed_out.pop(handle, None)
-        return tables
+        return self._tables(handle, doc)
 
     def _tables(self, handle: str, doc: dict) -> list[ShotTable]:
-        """Validate a ``done`` document against the submitted batch."""
+        """Validate a ``done`` document against the submitted batch; forgets the handle."""
         if handle not in self._context:
             raise JobNotFoundError(f"job {handle} was not submitted by this client")
-        widths, shots = self._context[handle]
+        widths, shots = self._context.pop(handle)
+        self._timed_out.pop(handle, None)
         entries = doc.get("results", [])
         if len(entries) != len(widths):
             raise BackendError(

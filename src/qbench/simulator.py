@@ -44,9 +44,10 @@ order.
 Bit convention everywhere: qubit 0 is the leftmost character of a
 bitstring, i.e. the most significant bit of a basis index.  A
 ``ShotTable`` stores its counts keyed by bitstring, which is also the wire
-format, until counts move to integer keys (ROADMAP, direction 5);
-``ShotTable.marginal`` is the one place a key becomes an outcome index, and
-every metric reads those indices.
+format, until counts move to integer keys (ROADMAP, direction 5).  Metrics
+read keys through ``ShotTable.marginal``, as outcome indices (QV, Q-score,
+the suite, crosstalk), or ``ShotTable.fraction_ones``, as one qubit's
+character (RB, readout, crosstalk, coherence); CLOPS hashes them as they are.
 
 Virtual RZ gates and WAIT are error-free apart from the idle decay WAIT
 adds through its duration; measurement samples the final state as-is, since
@@ -111,7 +112,7 @@ class ShotTable:
 
         An int64 vector of length 2**len(positions) whose first position is
         the most significant bit.  This is the one place a measured
-        bitstring becomes an outcome index.
+        bitstring becomes an outcome index; ``fraction_ones`` reads its characters.
         """
         positions = tuple(positions)
         full = np.array([int(bits, 2) for bits in self.counts], dtype=np.int64)

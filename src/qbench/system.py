@@ -131,7 +131,11 @@ QV_Z = 2.0
 class QVConfig:
     n_circuits: int = 100
     shots: int = 100
-    max_width: int | None = None
+    max_width: int | None = None  # None: the backend's width
+
+    def __post_init__(self) -> None:
+        if self.max_width is not None and self.max_width < 2:
+            raise ValueError(f"quantum volume widths start at 2, got max_width {self.max_width}")
 
 
 @dataclass(frozen=True)
@@ -339,7 +343,6 @@ def run_clops(
     t_quantum = 0.0
     t_classical = 0.0
     angle_seeds = [seed * 31 + m for m in range(cfg.m_templates)]
-    rounds_done = 0
     for k in range(cfg.k_updates):
         tick = time.perf_counter()
         bound = [
@@ -352,7 +355,7 @@ def run_clops(
         try:
             tables = submit_and_wait(backend, bound, cfg.shots, seed=seed * 101 + k)
         except BackendError as err:
-            raise CLOPSPartialError(rounds_done, err) from err
+            raise CLOPSPartialError(k, err) from err
         if timing is not None:
             t_quantum += sum(c.duration_ns(timing) for c in bound) * 1e-9 * cfg.shots
         else:
@@ -361,7 +364,6 @@ def run_clops(
         tick = time.perf_counter()
         angle_seeds = [seed_from_counts(t) for t in tables]
         t_classical += time.perf_counter() - tick
-        rounds_done += 1
 
     t_total = t_quantum + t_classical
     return CLOPSResult(
@@ -370,7 +372,7 @@ def run_clops(
         t_quantum_s=t_quantum,
         t_classical_s=t_classical,
         d=d,
-        rounds_completed=rounds_done,
+        rounds_completed=cfg.k_updates,
     )
 
 

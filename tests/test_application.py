@@ -233,6 +233,33 @@ class TestQAOA:
         assert res.best_mean_cut == max(means)  # no re-sample after the budget ran out
         assert res.elapsed_s == 11.0
 
+    def test_search_returns_its_best_point_and_value(self):
+        calls = []
+
+        def fn(x):
+            calls.append(float(x[0]))
+            return -(x[0] - 1.0) ** 2
+
+        best_x, best_v = application._nelder_mead_max(fn, np.array([0.0]), spread=0.5,
+                                                      max_evals=40, tol=1e-3)
+        assert best_v == max(-(c - 1.0) ** 2 for c in calls)
+        assert best_v == -(best_x[0] - 1.0) ** 2 and abs(best_x[0] - 1.0) < 0.05
+
+    def test_search_stops_at_the_budget(self):
+        def fn(x):
+            if len(seen) == 3:
+                raise TimeBudgetExceeded()
+            seen.append(float(x[0]))
+            return float(x[0])
+
+        seen = []
+        best_x, best_v = application._nelder_mead_max(fn, np.array([0.0]), spread=0.5,
+                                                      max_evals=40, tol=1e-3)
+        assert len(seen) == 3 and best_v == max(seen) == best_x[0]
+        seen = [0.0] * 3
+        assert application._nelder_mead_max(fn, np.array([0.0]), spread=0.5,
+                                            max_evals=40, tol=1e-3) is None
+
     def test_graph_too_wide(self):
         be = LocalSimBackend(ideal_device(2))
         with pytest.raises(ValueError):
@@ -278,6 +305,22 @@ class TestQScore:
     def test_sizes_must_ascend(self, ideal_backend_5):
         with pytest.raises(ValueError):
             run_qscore(ideal_backend_5, QScoreConfig(sizes=(3, 2)), seed=1)
+
+    @pytest.mark.parametrize("field", ["shots", "max_evaluations", "graphs_per_size"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            QScoreConfig(**{field: value})
+        assert getattr(QScoreConfig(**{field: 1}), field) == 1
+
+    def test_library_calls_reject_zero_counts_by_name(self):
+        """Both calls once failed deep inside ``bind`` or numpy."""
+        with pytest.raises(ValueError, match="max_evaluations"):
+            qaoa_maxcut(Graph(2, ((0, 1),)), LocalSimBackend(ideal_device(2)),
+                        QScoreConfig(max_evaluations=0))
+        with pytest.raises(ValueError, match="shots"):
+            run_qscore(LocalSimBackend(ideal_device(2)),
+                       QScoreConfig(sizes=(2,), shots=0, time_limit_s=5))
 
 
 class TestFidelity:
@@ -351,6 +394,11 @@ class TestAlgorithms:
         by_alg = {c.algorithm: c for c in cells}
         # shallow parity circuits survive; the Fourier round trip suffers
         assert by_alg["bv"].fidelity > by_alg["qft"].fidelity
+
+    @pytest.mark.parametrize("max_width", [1, 0])
+    def test_max_width_below_two_rejected(self, max_width):
+        with pytest.raises(ValueError, match="max_width"):
+            AppSuiteConfig(max_width=max_width)
 
     def test_width_exceeding_backend_skipped(self):
         be = LocalSimBackend(ideal_device(2))

@@ -191,6 +191,14 @@ class TestCountArguments:
         assert "Traceback" not in capsys.readouterr().err
         assert RunStore(str(tmp_path)).records() == []
 
+    @pytest.mark.parametrize("command", ["qv", "appsuite"])
+    def test_max_width_one_is_usage_error(self, tmp_path, capsys, command):
+        """Widths start at 2, so a maximum of 1 would run nothing."""
+        argv = [command, "--max-width", "1", "--device", "ideal", "--seed", "3"]
+        assert cli_main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "max_width 1" in capsys.readouterr().err
+        assert RunStore(str(tmp_path)).records() == []
+
     @pytest.mark.parametrize("given, used", [(None, 4096), ("1", 1), ("3", 3)])
     def test_readout_shots(self, tmp_path, monkeypatch, given, used):
         """The record's ``shots`` is the count the batch ran at, given or not."""

@@ -6,12 +6,14 @@ circuits the protocols compile and run: quantum-volume model circuits
 (widths 2-5, several seeds), CLOPS templates and Max-Cut ansatz templates
 (bound to fixed angles, so the digest covers both gates and slot order),
 and the algorithm suite's routed circuits.  The Clifford composition,
-inverse and identity tables are pinned the same way.
+inverse and identity tables are pinned the same way, and so is the Max-Cut
+angle search: the best point and mean, best sampled cut, evaluation count
+and running best of ``qaoa_maxcut`` over fixed graphs and seeds.
 
 A refactor of synthesis, routing, qubit ranking or the Clifford tables
 must leave every digest as it is.  Like the ``GOLDEN`` scalar digests,
 these hold on one numpy/LAPACK build: synthesis runs eigendecompositions
-whose last bits may differ on another.
+whose last bits may differ on another, and a search's path follows them.
 """
 import hashlib
 import json
@@ -22,10 +24,12 @@ import pytest
 from qbench import cliffords
 from qbench.application import (
     Graph,
+    QScoreConfig,
     bv_circuit,
     dj_circuit,
     gen_erdos_renyi,
     maxcut_ansatz,
+    qaoa_maxcut,
     qft_roundtrip_circuit,
 )
 from qbench.backends import LocalSimBackend
@@ -138,3 +142,31 @@ def test_clifford_tables_are_pinned():
     }
     assert np.asarray(cliffords.COMPOSE_TABLE).shape == (24, 24)
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == CLIFFORD_TABLES_SHA256
+
+
+def _qaoa_cases():
+    """Sizes 2-5 at three seeds with 30 evaluations, then 1, 2 and 3 evaluations."""
+    for n in range(2, 6):
+        for seed in (0, 1, 2):
+            graph = Graph(2, ((0, 1),)) if n == 2 else gen_erdos_renyi(n, 0.5, seed=seed)
+            yield graph, QScoreConfig(shots=256, max_evaluations=30), seed
+    for evals in (1, 2, 3):
+        yield gen_erdos_renyi(4, 0.5, seed=7), QScoreConfig(shots=256, max_evaluations=evals), 2
+
+
+QAOA_PINS = {
+    "starmon5": "c5e3c96129fb543bdb770a2402a0dd9127e4af48517a57c44cadadd51832cbaa",
+    "ideal5": "47aacb76afb46704d5655c59dcf5d1438d5097c1664d21e3d0365fdb4ba67c6f",
+}
+
+
+@pytest.mark.parametrize("device", sorted(QAOA_PINS))
+def test_qaoa_search_is_pinned(device):
+    backend = LocalSimBackend(DEVICES[device]())
+    docs = []
+    for graph, cfg, seed in _qaoa_cases():
+        res = qaoa_maxcut(graph, backend, cfg, seed=seed)
+        docs.append([list(res.best_params), res.best_mean_cut, res.best_sampled_cut,
+                     res.evaluations, res.best_so_far])
+    assert len(docs) == 15
+    assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == QAOA_PINS[device]

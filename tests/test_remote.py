@@ -236,6 +236,29 @@ class TestFailedJob:
             assert len(srv._jobs) == len(srv._by_key) == cap
 
 
+class TestForgottenHandles:
+    def test_failed_and_malformed_jobs_leave_no_handle(self):
+        with MockServer(RaisingBackend([])) as srv:
+            backend = RemoteBackend(srv.url, n_qubits=3)
+            for seed in range(200):
+                with pytest.raises(BackendError, match="RuntimeError: device lost"):
+                    backend.run([_circuit()], 10, seed=seed)
+            srv.backend = CannedBackend([ShotTable(counts={}, shots=0, n_qubits=3)])
+            with pytest.raises(BackendError, match="malformed result"):
+                backend.run([_circuit()], 10, seed=200)
+        assert backend._context == {} and backend._timed_out == {}
+
+    def test_malformed_result_forgets_a_timed_out_handle(self):
+        with MockServer(CannedBackend([]), auto_complete=False) as srv:
+            backend = RemoteBackend(srv.url, n_qubits=3, poll_interval_s=0.02, timeout_s=0.05)
+            with pytest.raises(SubmitTimeout) as err:
+                backend.run([_circuit()], 10, seed=1)
+            srv.complete_all()
+            with pytest.raises(BackendError, match="0 results for 1 circuits"):
+                backend.result(err.value.handle)
+            assert backend._context == {} and backend._timed_out == {}
+
+
 class TestReplyValidation:
     @pytest.mark.parametrize(
         "tables, message",
@@ -383,6 +406,15 @@ def bad_status_server():
 class TestStatusErrors:
     """Every status reply the protocol does not define is a ``BackendError``,
     raised at once, through the library and through the CLI."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_STATUS_REPLIES))
+    def test_run_forgets_the_handle(self, bad_status_server, case):
+        httpd, url = bad_status_server
+        httpd.reply, expected = BAD_STATUS_REPLIES[case]
+        backend = RemoteBackend(url, n_qubits=3, poll_interval_s=0.01, timeout_s=2.0)
+        with pytest.raises(expected):
+            backend.run([_circuit()], 10, seed=1)
+        assert backend._context == {} and backend._timed_out == {}
 
     @pytest.mark.parametrize("case", sorted(BAD_STATUS_REPLIES))
     def test_run_and_result_raise(self, bad_status_server, case):

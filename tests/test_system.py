@@ -152,6 +152,13 @@ class TestQuantumVolume:
         assert res.qv in (1, 2, 4, 8)
         assert res.qv <= 2**3
 
+    @pytest.mark.parametrize("max_width", [1, 0, -3])
+    def test_max_width_below_two_rejected(self, max_width):
+        with pytest.raises(ValueError, match="max_width"):
+            QVConfig(max_width=max_width)
+        assert QVConfig(max_width=None).max_width is None  # the backend's width
+        assert QVConfig(max_width=2).max_width == 2
+
     def test_noise_never_raises_volume(self):
         # monotonicity spot check over a few seeds
         for seed in (1, 2, 3):
