@@ -190,8 +190,11 @@ def _nelder_mead_max(fn, x0: np.ndarray, spread: float, max_evals: int,
     """Simplex maximization with restarts when the simplex collapses.
 
     ``fn`` is noisy; evaluation count is the budget, and ``fn`` ends the
-    search by raising :class:`TimeBudgetExceeded`.  Each restart centres on
-    the best point so far.  Returns the best point and its value, or None.
+    search by raising :class:`TimeBudgetExceeded`.  The count is checked
+    before each step, so an expansion or contraction that follows a
+    reflection made at the last allowed evaluation still runs: the search
+    can make one evaluation more than ``max_evals``.  Each restart centres
+    on the best point so far.  Returns the best point and its value, or None.
     """
     dim = len(x0)
     evals = 0
@@ -414,12 +417,7 @@ def run_qscore(backend: Backend, cfg: QScoreConfig = QScoreConfig(), seed: int =
             )
         )
     # largest N with every tested size up to N passing
-    score = 0
-    for r in per_size:
-        if r.passed:
-            score = r.size
-        else:
-            break
+    score = max((r.size for r in itertools.takewhile(lambda r: r.passed, per_size)), default=0)
     if score == 0:
         return QScoreResult(qscore=1, per_size=tuple(per_size), flag="no_size_passed")
     return QScoreResult(qscore=score, per_size=tuple(per_size), flag=None)

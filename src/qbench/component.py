@@ -148,7 +148,7 @@ def run_rb(backend: Backend, cfg: RBConfig, qubit: int, seed: int = 0) -> RBResu
         fit=fit,
         epc=epc,
         f1q=f1q_from_epc(epc),
-        valid=fit.converged and not fit.unidentifiable,
+        valid=fit.converged,
     )
 
 
@@ -298,7 +298,7 @@ def _wait_scan(
         fractions=tuple(y),
         fit=result,
         time_us=result.params.get("T", float("nan")),
-        valid=result.converged and not result.unidentifiable,
+        valid=result.converged,
     )
 
 

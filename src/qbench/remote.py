@@ -31,13 +31,14 @@ import threading
 import time
 import uuid
 
-from .backends import Backend, BackendError, CapabilityError, JobNotFoundError, SubmitTimeout
+from .backends import (Backend, BackendError, CapabilityError, JobNotFoundError, SubmitTimeout,
+                       submit_and_wait)
 from .circuits import Circuit
 from .device import DeviceModel
 from .serialization import circuit_from_dict, circuit_to_dict
 from .simulator import ShotTable
 
-# finished jobs the mock server keeps for late retrieval; older ones answer 404
+# jobs the mock server keeps for late retrieval; older ones answer 404
 _FINISHED_JOBS_KEPT = 64
 _JOB_STATUSES = ("queued", "running", "done", "failed")
 
@@ -233,21 +234,20 @@ def _json_object(what: str, code: int, reply: bytes, ok: tuple[int, ...]) -> dic
 class MockServer:
     """In-process job server wrapping a local backend.
 
-    Jobs execute synchronously on submission when ``auto_complete`` is on;
-    otherwise they stay queued until :meth:`complete_all`, which is how the
-    timeout path gets tested.  Queued jobs are always kept; of the finished
-    ones only the most recent ``_FINISHED_JOBS_KEPT`` are, each with its
-    idempotency key.  It speaks HTTP/1.1 and keeps connections open until
-    the client closes them or :meth:`stop` does.
+    A job runs to its end inside its submission, through
+    :func:`submit_and_wait`: it is ``done``, or ``failed`` with the error's
+    text when the batch is refused or the backend raises.  Only the most
+    recent ``_FINISHED_JOBS_KEPT`` jobs are kept, each with its idempotency
+    key; an older id answers 404.  A body that does not decode answers 400
+    and leaves no key behind.  It speaks HTTP/1.1 and keeps connections open
+    until the client closes them or :meth:`stop` does.
     """
 
-    def __init__(self, backend: Backend, host: str = "127.0.0.1", auto_complete: bool = True) -> None:
+    def __init__(self, backend: Backend, host: str = "127.0.0.1") -> None:
         self.backend = backend
-        self.auto_complete = auto_complete
-        self._jobs: dict[str, dict] = {}
+        # job id -> (idempotency key, status document), oldest first
+        self._jobs: dict[str, tuple[str, dict]] = {}
         self._by_key: dict[str, str] = {}
-        self._pending: dict[str, tuple] = {}  # job id -> _execute's arguments
-        self._finished: dict[str, str] = {}  # job id -> idempotency key, oldest first
         self._handlers: dict = {}  # client socket -> its handler thread, for stop
         self._lock = threading.Lock()
 
@@ -284,7 +284,7 @@ class MockServer:
                     return
                 try:
                     code, doc = server.handle_submit(json.loads(body))
-                except (ValueError, KeyError) as err:
+                except (KeyError, TypeError, ValueError) as err:
                     code, doc = 400, {"error": str(err)}
                 self._reply(code, doc)
 
@@ -321,62 +321,38 @@ class MockServer:
     # -- protocol handlers -------------------------------------------------
 
     def handle_submit(self, body: dict) -> tuple[int, dict]:
-        key = body["idempotency_key"]
+        """Decode the whole body before the key is registered, so a rejected
+        one (``KeyError``, ``TypeError``, ``ValueError``) registers nothing."""
+        circuits = [circuit_from_dict(d) for d in body["circuits"]]
+        shots, seed, key = int(body["shots"]), int(body["seed"]), body["idempotency_key"]
         with self._lock:
             if key in self._by_key:
                 return 200, {"job_id": self._by_key[key]}
             job_id = str(uuid.uuid4())
             self._by_key[key] = job_id
-        circuits = [circuit_from_dict(d) for d in body["circuits"]]
-        shots, seed = int(body["shots"]), int(body["seed"])
-        try:
-            self.backend.check_capabilities(circuits)
-        except CapabilityError as err:
-            self._finish(job_id, key, {"status": "failed", "error": str(err), "results": []})
-            return 201, {"job_id": job_id}
-        if self.auto_complete:
-            self._execute(job_id, key, circuits, shots, seed)
-        else:
-            with self._lock:
-                self._pending[job_id] = (key, circuits, shots, seed)
-                self._jobs[job_id] = {"status": "queued", "results": []}
+        self._execute(job_id, key, circuits, shots, seed)
         return 201, {"job_id": job_id}
 
     def handle_status(self, job_id: str) -> tuple[int, dict]:
         with self._lock:
             if job_id not in self._jobs:
                 return 404, {"error": f"unknown job {job_id}"}
-            return 200, dict(self._jobs[job_id])
+            return 200, dict(self._jobs[job_id][1])
 
     def _execute(self, job_id: str, key: str, circuits: list[Circuit], shots: int,
                  seed: int) -> None:
+        """Run the batch and store its document; forget the oldest jobs beyond the cap."""
         try:
-            tables = self.backend.run(circuits, shots, seed)
+            tables = submit_and_wait(self.backend, circuits, shots, seed)
+            doc = {"status": "done", "results": [{"counts": dict(t.counts)} for t in tables]}
+        except CapabilityError as err:
+            doc = {"status": "failed", "error": str(err), "results": []}
         except Exception as err:  # any backend fault fails the job, not the server
-            self._finish(job_id, key, {"status": "failed", "error": f"{type(err).__name__}: {err}",
-                                         "results": []})
-            return
-        self._finish(job_id, key, {
-            "status": "done",
-            "results": [{"counts": dict(t.counts)} for t in tables],
-        })
-
-    def _finish(self, job_id: str, key: str, doc: dict) -> None:
-        """Store a finished job; forget the oldest finished ones beyond the cap."""
+            doc = {"status": "failed", "error": f"{type(err).__name__}: {err}", "results": []}
         with self._lock:
-            self._jobs[job_id] = doc
-            self._finished[job_id] = key
-            while len(self._finished) > _FINISHED_JOBS_KEPT:
-                old = next(iter(self._finished))
-                del self._by_key[self._finished.pop(old)]
-                del self._jobs[old]
-
-    def complete_all(self) -> None:
-        with self._lock:
-            pending = dict(self._pending)
-            self._pending.clear()
-        for job_id, spec in pending.items():
-            self._execute(job_id, *spec)
+            self._jobs[job_id] = (key, doc)
+            while len(self._jobs) > _FINISHED_JOBS_KEPT:
+                del self._by_key[self._jobs.pop(next(iter(self._jobs)))[0]]
 
     # -- lifecycle -----------------------------------------------------------
 

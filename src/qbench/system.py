@@ -2,11 +2,13 @@
 
 Quantum volume runs square random circuits: d layers on d qubits, each layer
 a random pairing with Haar-random two-qubit unitaries on the pairs.  A depth
-passes when the mean heavy-output fraction minus two binomial standard
-errors clears 2/3, and the volume is 2**d for the deepest d with every
-depth up to it passing.  Pairings are virtual (they choose which qubits a
-block acts on); blocks on unconnected pairs are routed through a shared
-neighbour.
+passes when the mean heavy-output fraction h minus two pooled binomial
+standard errors, sigma = sqrt(h(1-h)/(n_c*n_s)) over all n_c circuits times
+n_s shots, clears 2/3; Cross et al. (arXiv:1811.12926) and Qiskit take sigma
+over circuits, sqrt(h(1-h)/n_c), a wider interval.  The volume is 2**d for
+the deepest d with every depth up to it passing.  Pairings are virtual
+(they choose which qubits a block acts on); blocks on unconnected pairs are
+routed through a shared neighbour.
 
 Throughput (circuit layer operations per second) chains parameterized
 square-circuit templates: each round's measured bits seed the PRNG that
@@ -23,6 +25,7 @@ relative spread.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
 import time
 from dataclasses import dataclass
@@ -159,6 +162,9 @@ class QVResult:
                      **{f"heavy_fraction_d{d.depth}": scalar(d.heavy_fraction, "fraction")
                         for d in self.per_depth}},
             flags=[self.flag] if self.flag else [],
+            # width -> each circuit's heavy fraction, so any interval can be recomputed
+            raw={"qv_heavy_fractions": {str(d.depth): list(d.circuit_fractions)
+                                        for d in self.per_depth}},
         )
 
 
@@ -204,12 +210,7 @@ def run_quantum_volume(backend: Backend, cfg: QVConfig, seed: int = 0) -> QVResu
 
     # consecutive-pass rule: the volume reflects the deepest d with every
     # depth up to d passing
-    best_d = 0
-    for r in results:
-        if r.passed:
-            best_d = r.depth
-        else:
-            break
+    best_d = max((r.depth for r in itertools.takewhile(lambda r: r.passed, results)), default=0)
     if best_d == 0:
         return QVResult(qv=1, per_depth=tuple(results), flag="no_depth_passed")
     return QVResult(qv=2**best_d, per_depth=tuple(results), flag=None)
@@ -283,7 +284,6 @@ class CLOPSPartialError(BackendError):
     def __init__(self, rounds_completed: int, cause: Exception) -> None:
         super().__init__(f"backend failed after {rounds_completed} rounds: {cause}")
         self.rounds_completed = rounds_completed
-        self.cause = cause
 
 
 def make_clops_templates(

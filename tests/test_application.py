@@ -245,6 +245,19 @@ class TestQAOA:
         assert best_v == max(-(c - 1.0) ** 2 for c in calls)
         assert best_v == -(best_x[0] - 1.0) ** 2 and abs(best_x[0] - 1.0) < 0.05
 
+    @pytest.mark.parametrize("max_evals, calls", [(5, 6), (10, 11), (30, 31), (75, 75)])
+    def test_search_may_exceed_max_evals_by_one(self, max_evals, calls):
+        """A step begun at the last allowed evaluation finishes (see the docstring)."""
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return -float(np.sum((x - np.array([0.3, -0.2])) ** 2))
+
+        application._nelder_mead_max(fn, np.array([0.8, 0.4]), spread=0.6,
+                                     max_evals=max_evals, tol=1e-3)
+        assert len(seen) == calls
+
     def test_search_stops_at_the_budget(self):
         def fn(x):
             if len(seen) == 3:

@@ -4,6 +4,7 @@ import hashlib
 import json
 from datetime import datetime
 
+import numpy as np
 import pytest
 
 from helpers import scalar_section_json
@@ -389,6 +390,19 @@ class TestArtifacts:
         assert code == EXIT_OK
         recs = [r for r in RunStore(str(tmp_path)).records() if r.metric == "qv"]
         assert recs[-1].scalars["quantum_volume"]["value"] == 8
+
+    def test_qv_record_keeps_each_circuits_heavy_fraction(self, tmp_path):
+        """The raw payload reproduces every width's mean heavy fraction exactly."""
+        cli_main(["qv", "--device", "starmon5", "--circuits", "5", "--seed", "7",
+                  "--out", str(tmp_path)])
+        (rec,) = RunStore(str(tmp_path)).records()
+        (ref,) = rec.raw_refs
+        assert ref.startswith("raw/qv_heavy_fractions/")
+        fractions = json.loads((tmp_path / ref).read_text())
+        assert sorted(fractions) == ["2", "3", "4", "5"]
+        for width, per_circuit in fractions.items():
+            assert len(per_circuit) == 5
+            assert float(np.mean(per_circuit)) == rec.scalars[f"heavy_fraction_d{width}"]["value"]
 
     def test_report_aggregates(self, tmp_path):
         cli_main(["readout", "--shots", "256", "--seed", "2", "--out", str(tmp_path)])

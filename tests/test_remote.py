@@ -115,9 +115,85 @@ class TestProtocol:
             backend.wait(handle, timeout_s=2.0)
 
 
+def _valid_body(key: str) -> dict:
+    return {"circuits": [circuit_to_dict(_circuit())], "shots": 10, "seed": 2,
+            "idempotency_key": key}
+
+
+class TestRejectedSubmission:
+    """A body the server cannot decode answers 400 and registers nothing."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {**_valid_body("k1"), "circuits": [{"n_qubits": 3, "ops": [{"kind": "BAD",
+                                                                        "qubits": [0]}]}]},
+            {**_valid_body("k2"), "shots": "many"},
+            {**_valid_body("k3"), "seed": None},
+            [],
+            {**_valid_body("k4"), "circuits": 5},
+            {**_valid_body("k5"), "circuits": [5]},
+            {**_valid_body("k6"), "idempotency_key": ["a", "list"]},
+        ],
+        ids=["bad_gate", "bad_shots", "null_seed", "list_body", "int_circuits",
+             "int_circuit", "list_key"],
+    )
+    def test_rejected_body_leaves_nothing(self, server, body):
+        conn = http.client.HTTPConnection(urlsplit(server.url).netloc, timeout=30)
+        try:
+            for _ in range(2):  # a retry with the rejected key is rejected again
+                conn.request("POST", "/jobs", json.dumps(body).encode("utf-8"),
+                             {"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                assert resp.status == 400
+                assert "error" in json.loads(resp.read())
+                assert server._by_key == {} and server._jobs == {}
+            conn.request("POST", "/jobs", json.dumps(_valid_body("fresh")).encode("utf-8"),
+                         {"Content-Type": "application/json"})
+            resp = conn.getresponse()  # the same connection still serves
+            assert resp.status == 201 and "job_id" in json.loads(resp.read())
+        finally:
+            conn.close()
+        assert list(server._by_key) == ["fresh"]
+
+    def test_many_rejected_keys_leave_nothing(self, server):
+        body = {**_valid_body(""), "circuits": [{"n_qubits": 3, "ops": [{"kind": "BAD"}]}]}
+        for i in range(200):
+            reply = http_json(server.url, "POST", "/jobs", {**body, "idempotency_key": f"k{i}"})
+            assert reply[0] == 400
+        assert server._by_key == {} and server._jobs == {}
+
+
+class QueuedServer(MockServer):
+    """A mock server whose jobs stay queued while ``hold`` is on, until
+    :meth:`complete_all` runs them.  Held jobs sit outside the server's job
+    store, so its cap never forgets them."""
+
+    def __init__(self, backend: Backend) -> None:
+        super().__init__(backend)
+        self.hold = True
+        self._held: dict[str, tuple] = {}  # job id -> _execute's other arguments
+
+    def _execute(self, job_id, *args) -> None:
+        if self.hold:
+            self._held[job_id] = args
+        else:
+            super()._execute(job_id, *args)
+
+    def handle_status(self, job_id: str) -> tuple[int, dict]:
+        if job_id in self._held:
+            return 200, {"status": "queued", "results": []}
+        return super().handle_status(job_id)
+
+    def complete_all(self) -> None:
+        for job_id, args in list(self._held.items()):
+            super()._execute(job_id, *args)
+            del self._held[job_id]  # after the run, so a poll never sees a 404
+
+
 class TestTimeout:
     def test_timeout_then_late_retrieval(self):
-        with MockServer(LocalSimBackend(ideal_device(3)), auto_complete=False) as srv:
+        with QueuedServer(LocalSimBackend(ideal_device(3))) as srv:
             backend = RemoteBackend(srv.url, n_qubits=3, poll_interval_s=0.02, timeout_s=0.15)
             with pytest.raises(SubmitTimeout) as err:
                 submit_and_wait(backend, [_circuit()], 10, seed=1)
@@ -134,7 +210,7 @@ class TestTimeout:
         assert backend._context == {}
 
     def test_result_forgets_the_handle(self):
-        with MockServer(LocalSimBackend(ideal_device(3)), auto_complete=False) as srv:
+        with QueuedServer(LocalSimBackend(ideal_device(3))) as srv:
             backend = RemoteBackend(srv.url, poll_interval_s=0.02, timeout_s=0.05)
             with pytest.raises(SubmitTimeout) as err:
                 backend.run([_circuit()], 10, seed=1)
@@ -147,7 +223,7 @@ class TestTimeout:
     def test_timed_out_handles_are_bounded(self, monkeypatch):
         cap = 2
         monkeypatch.setattr(qbench.remote, "_FINISHED_JOBS_KEPT", cap)
-        with MockServer(LocalSimBackend(ideal_device(3)), auto_complete=False) as srv:
+        with QueuedServer(LocalSimBackend(ideal_device(3))) as srv:
             backend = RemoteBackend(srv.url, poll_interval_s=0.02, timeout_s=0.05)
             handles = []
             for seed in range(cap + 2):
@@ -164,7 +240,7 @@ class TestTimeout:
             assert backend._context == {} and backend._timed_out == {}
 
     def test_result_before_done_raises(self):
-        with MockServer(LocalSimBackend(ideal_device(3)), auto_complete=False) as srv:
+        with QueuedServer(LocalSimBackend(ideal_device(3))) as srv:
             backend = RemoteBackend(srv.url, n_qubits=3)
             handle = backend.submit([_circuit()], 5, seed=1)
             with pytest.raises(SubmitTimeout):
@@ -175,14 +251,15 @@ class TestServerMemory:
     def test_finished_jobs_are_bounded(self, monkeypatch):
         cap = 4
         monkeypatch.setattr(qbench.remote, "_FINISHED_JOBS_KEPT", cap)
-        with MockServer(LocalSimBackend(ideal_device(3)), auto_complete=False) as srv:
+        with QueuedServer(LocalSimBackend(ideal_device(3))) as srv:
             backend = RemoteBackend(srv.url, n_qubits=3)
             queued = [backend.submit([_circuit()], 5, seed=s) for s in range(2)]
-            srv.auto_complete = True
+            srv.hold = False
             done = []
             for seed in range(3 * cap):
                 done.append(backend.submit([_circuit()], 5, seed=seed))
-                assert len(srv._jobs) == len(srv._by_key) == len(queued) + min(len(done), cap)
+                assert len(srv._jobs) == min(len(done), cap)
+                assert len(srv._by_key) == len(queued) + min(len(done), cap)
             for handle in queued:
                 assert backend.status(handle)["status"] == "queued"
             assert [backend.status(h)["status"] for h in done[-cap:]] == ["done"] * cap
@@ -223,7 +300,7 @@ class TestFailedJob:
             with pytest.raises(BackendError, match="RuntimeError: device lost") as err:
                 backend.run([_circuit()], 10, seed=1)
             assert not isinstance(err.value, JobNotFoundError)
-            assert len(srv._jobs) == len(srv._by_key) == len(srv._finished) == 1
+            assert len(srv._jobs) == len(srv._by_key) == 1
 
     def test_failed_jobs_are_bounded(self, monkeypatch):
         cap = 3
@@ -249,7 +326,7 @@ class TestForgottenHandles:
         assert backend._context == {} and backend._timed_out == {}
 
     def test_malformed_result_forgets_a_timed_out_handle(self):
-        with MockServer(CannedBackend([]), auto_complete=False) as srv:
+        with QueuedServer(CannedBackend([])) as srv:
             backend = RemoteBackend(srv.url, n_qubits=3, poll_interval_s=0.02, timeout_s=0.05)
             with pytest.raises(SubmitTimeout) as err:
                 backend.run([_circuit()], 10, seed=1)
