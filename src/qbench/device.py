@@ -51,12 +51,22 @@ class DriftSchedule:
     """Slow drift of coherence times for stability runs.
 
     ``epochs`` is a piecewise-constant schedule of (start_s, t1_mult, t2_mult)
-    entries sorted by start time; ``jitter_sigma`` adds a Gaussian fractional
-    jitter to T2, redrawn once per calibration epoch.
+    entries sorted by start time, with finite positive multipliers;
+    ``jitter_sigma`` (finite, >= 0) adds a Gaussian fractional jitter to T2,
+    redrawn once per calibration epoch.
     """
 
     jitter_sigma: float = 0.1
     epochs: tuple[tuple[float, float, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        starts = [start for start, _, _ in self.epochs]
+        if not (all(map(math.isfinite, starts)) and starts == sorted(starts)):
+            raise ValueError("drift epochs must have finite starts in increasing order")
+        if not all(0 < m < math.inf for _, m1, m2 in self.epochs for m in (m1, m2)):
+            raise ValueError("drift multipliers must be finite and positive")
+        if not 0 <= self.jitter_sigma < math.inf:
+            raise ValueError("drift jitter_sigma must be finite and non-negative")
 
     def multipliers_at(self, t_s: float) -> tuple[float, float]:
         t1m = t2m = 1.0
@@ -92,6 +102,8 @@ class DeviceModel:
             for a, b in canon:
                 if a == b or not (0 <= a < n and 0 <= b < n):
                     raise ValueError(f"bad edge ({a}, {b})")
+            if len(set(canon)) != len(canon):
+                raise ValueError("an edge is listed twice")
         # built once: routing and every simulated CZ look pairs up in it
         object.__setattr__(self, "_edge_set", None if self.edges is None else frozenset(self.edges))
 

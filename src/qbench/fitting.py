@@ -60,9 +60,9 @@ class DataSeries:
             raise ValueError("x and y must be equal-length 1-d arrays")
         if len(x) < 4:
             raise ValueError("need at least 4 points")
-        if not (np.diff(x) > 0).all():
-            raise ValueError("x must be strictly increasing")
-        if (y < -1e-9).any() or (y > 1 + 1e-9).any():
+        if not (np.isfinite(x).all() and (np.diff(x) > 0).all()):
+            raise ValueError("x must be finite and strictly increasing")
+        if not ((y >= -1e-9) & (y <= 1 + 1e-9)).all():  # a NaN fails too
             raise ValueError("y values must lie in [0, 1]")
 
     def weights(self, weighted: bool) -> np.ndarray | None:

@@ -4,12 +4,12 @@ Wire protocol (UTF-8 JSON, bitstrings with qubit 0 leftmost):
 
     POST /jobs   body {"circuits": [...], "shots": n, "seed": s,
                        "idempotency_key": str}
-                 -> 201 {"job_id": str}; resubmitting a key returns the
-                    existing id with 200.
+                 -> 201 {"job_id": str}; the id derives from the key, so
+                    resubmitting a key returns the same id with 200.
     GET /jobs/{id}
                  -> 200 {"status": "queued"|"running"|"done"|"failed",
                          "results": [{"counts": {bitstring: int}}]}
-                 -> 404 for unknown ids.
+                 -> 404 for unknown ids.  A job answers "running" until it ends.
     GET /device  -> 200 the served DeviceModel's JSON document.
 
 The client reads ``/device`` once, on first use.  It talks over one
@@ -38,8 +38,9 @@ from .device import DeviceModel
 from .serialization import circuit_from_dict, circuit_to_dict
 from .simulator import ShotTable
 
-# jobs the mock server keeps for late retrieval; older ones answer 404
+# finished jobs the mock server keeps for late retrieval; older ones answer 404
 _FINISHED_JOBS_KEPT = 64
+_JOB_ID_NAMESPACE = uuid.UUID("5d0b3e64-2a7c-4f1e-9c55-1d3f0a6b8e21")  # job id = uuid5(key)
 _JOB_STATUSES = ("queued", "running", "done", "failed")
 
 
@@ -51,10 +52,11 @@ class RemoteBackend(Backend):
     batch, waits up to ``timeout_s`` for it and builds its tables from the
     ``done`` document that ``wait`` returns, so a finished job costs no
     extra GET.  On :class:`SubmitTimeout` the handle stays valid for
-    ``wait`` and ``result``, up to the ``_FINISHED_JOBS_KEPT`` latest; the
-    client forgets a handle once it has read the job's ``done`` document or
-    ``run`` has raised any other :class:`BackendError` for it.  A request
-    that fails twice on the network raises :class:`BackendError`.
+    ``wait`` and ``result``, up to the ``_FINISHED_JOBS_KEPT`` latest.  The
+    client forgets a handle once it has read the job's ``done`` document, or
+    once ``wait`` (which ``result`` calls) raises :class:`BackendError` for a
+    failed job or any other error.  A request that fails twice on the network
+    raises :class:`BackendError`.
     """
 
     def __init__(
@@ -102,11 +104,7 @@ class RemoteBackend(Backend):
         except SubmitTimeout:  # keep the handle for late retrieval, within the cap
             self._timed_out[handle] = None
             while len(self._timed_out) > _FINISHED_JOBS_KEPT:
-                oldest = next(iter(self._timed_out))
-                del self._timed_out[oldest], self._context[oldest]
-            raise
-        except BackendError:  # a failed job or a malformed reply: nothing to retrieve later
-            self._context.pop(handle, None)
+                self._forget(next(iter(self._timed_out)))
             raise
 
     def submit(self, circuits: list[Circuit], shots: int, seed: int) -> str:
@@ -175,27 +173,31 @@ class RemoteBackend(Backend):
         """Poll until the job is done and return its ``done`` status document."""
         deadline = time.monotonic() + timeout_s
         while True:
-            doc = self.status(handle)
+            try:
+                doc = self.status(handle)
+                if doc["status"] == "failed":
+                    raise BackendError(f"job {handle} failed: {doc.get('error', '')}")
+            except BackendError:  # nothing to retrieve later
+                self._forget(handle)
+                raise
             if doc["status"] == "done":
                 return doc
-            if doc["status"] == "failed":
-                raise BackendError(f"job {handle} failed: {doc.get('error', '')}")
             if time.monotonic() >= deadline:
                 raise SubmitTimeout(handle)
             time.sleep(self.poll_interval_s)
 
     def result(self, handle: str) -> list[ShotTable]:
-        doc = self.status(handle)
-        if doc["status"] != "done":
-            raise SubmitTimeout(handle, f"job {handle} is {doc['status']}")
-        return self._tables(handle, doc)
+        return self._tables(handle, self.wait(handle, 0.0))
+
+    def _forget(self, handle: str) -> tuple[list[int], int] | None:
+        self._timed_out.pop(handle, None)
+        return self._context.pop(handle, None)
 
     def _tables(self, handle: str, doc: dict) -> list[ShotTable]:
         """Validate a ``done`` document against the submitted batch; forgets the handle."""
-        if handle not in self._context:
+        if (context := self._forget(handle)) is None:
             raise JobNotFoundError(f"job {handle} was not submitted by this client")
-        widths, shots = self._context.pop(handle)
-        self._timed_out.pop(handle, None)
+        widths, shots = context
         entries = doc.get("results", [])
         if len(entries) != len(widths):
             raise BackendError(
@@ -234,20 +236,19 @@ def _json_object(what: str, code: int, reply: bytes, ok: tuple[int, ...]) -> dic
 class MockServer:
     """In-process job server wrapping a local backend.
 
-    A job runs to its end inside its submission, through
-    :func:`submit_and_wait`: it is ``done``, or ``failed`` with the error's
-    text when the batch is refused or the backend raises.  Only the most
-    recent ``_FINISHED_JOBS_KEPT`` jobs are kept, each with its idempotency
-    key; an older id answers 404.  A body that does not decode answers 400
-    and leaves no key behind.  It speaks HTTP/1.1 and keeps connections open
-    until the client closes them or :meth:`stop` does.
+    A job's id is ``uuid5`` of its idempotency key.  Its submission stores it
+    as ``running``, then runs it through :func:`submit_and_wait` to ``done``,
+    or to ``failed`` with the error's text when the batch is refused or the
+    backend raises.  The ``_FINISHED_JOBS_KEPT`` latest finished jobs are
+    kept, and every running one; an older id answers 404.  A body that does
+    not decode answers 400 and stores nothing.  It speaks HTTP/1.1 and keeps
+    connections open until the client closes them or :meth:`stop` does.
     """
 
     def __init__(self, backend: Backend, host: str = "127.0.0.1") -> None:
         self.backend = backend
-        # job id -> (idempotency key, status document), oldest first
-        self._jobs: dict[str, tuple[str, dict]] = {}
-        self._by_key: dict[str, str] = {}
+        # job id -> status document; running jobs, then finished ones in the order they ended
+        self._jobs: dict[str, dict] = {}
         self._handlers: dict = {}  # client socket -> its handler thread, for stop
         self._lock = threading.Lock()
 
@@ -321,27 +322,28 @@ class MockServer:
     # -- protocol handlers -------------------------------------------------
 
     def handle_submit(self, body: dict) -> tuple[int, dict]:
-        """Decode the whole body before the key is registered, so a rejected
-        one (``KeyError``, ``TypeError``, ``ValueError``) registers nothing."""
+        """Decode the whole body before the job is stored, so a rejected one
+        (``KeyError``, ``TypeError``, ``ValueError``) stores nothing."""
         circuits = [circuit_from_dict(d) for d in body["circuits"]]
         shots, seed, key = int(body["shots"]), int(body["seed"]), body["idempotency_key"]
+        if not isinstance(key, str):
+            raise TypeError(f"idempotency_key must be a string, not {type(key).__name__}")
+        job_id = str(uuid.uuid5(_JOB_ID_NAMESPACE, key))
         with self._lock:
-            if key in self._by_key:
-                return 200, {"job_id": self._by_key[key]}
-            job_id = str(uuid.uuid4())
-            self._by_key[key] = job_id
-        self._execute(job_id, key, circuits, shots, seed)
+            if job_id in self._jobs:
+                return 200, {"job_id": job_id}
+            self._jobs[job_id] = {"status": "running", "results": []}
+        self._execute(job_id, circuits, shots, seed)
         return 201, {"job_id": job_id}
 
     def handle_status(self, job_id: str) -> tuple[int, dict]:
         with self._lock:
             if job_id not in self._jobs:
                 return 404, {"error": f"unknown job {job_id}"}
-            return 200, dict(self._jobs[job_id][1])
+            return 200, dict(self._jobs[job_id])
 
-    def _execute(self, job_id: str, key: str, circuits: list[Circuit], shots: int,
-                 seed: int) -> None:
-        """Run the batch and store its document; forget the oldest jobs beyond the cap."""
+    def _execute(self, job_id: str, circuits: list[Circuit], shots: int, seed: int) -> None:
+        """Run the batch and store its end; forget the oldest finished jobs beyond the cap."""
         try:
             tables = submit_and_wait(self.backend, circuits, shots, seed)
             doc = {"status": "done", "results": [{"counts": dict(t.counts)} for t in tables]}
@@ -350,9 +352,11 @@ class MockServer:
         except Exception as err:  # any backend fault fails the job, not the server
             doc = {"status": "failed", "error": f"{type(err).__name__}: {err}", "results": []}
         with self._lock:
-            self._jobs[job_id] = (key, doc)
-            while len(self._jobs) > _FINISHED_JOBS_KEPT:
-                del self._by_key[self._jobs.pop(next(iter(self._jobs)))[0]]
+            del self._jobs[job_id]
+            self._jobs[job_id] = doc  # to the end of the map
+            finished = [j for j, d in self._jobs.items() if d["status"] != "running"]
+            for old in finished[:-_FINISHED_JOBS_KEPT]:
+                del self._jobs[old]
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -46,6 +46,26 @@ class TestExitCodes:
         code = cli_main(["rb", "--device", str(path), "--out", str(tmp_path)])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"edges": [[0, 1], [1, 2], [1, 2]]},
+            {"edges": [[0, 1], [1, 2], [2, 1]]},
+            {"drift": {"jitter_sigma": 0.1, "epochs": [[100, 0.5, 0.5], [0, 1, 1]]}},
+            {"drift": {"jitter_sigma": 0.1, "epochs": [[0, 0, 1]]}},
+            {"drift": {"jitter_sigma": -0.1, "epochs": []}},
+        ],
+        ids=["repeated_edge", "edge_both_ways", "unsorted_epochs", "zero_multiplier",
+             "negative_jitter"],
+    )
+    def test_device_file_the_schema_cannot_mean(self, tmp_path, capsys, changes):
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps({**ideal_device(3).to_json_dict(), **changes}))
+        code = cli_main(["rb", "--device", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: bad --device")
+        assert RunStore(str(tmp_path)).records() == []
+
     def test_flagged_metric_exits_one(self, tmp_path):
         # infinite-coherence device makes the relaxation fit unidentifiable
         code = cli_main(

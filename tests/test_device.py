@@ -69,6 +69,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             DeviceModel(qubits=(q, q), p1=(0.0, 0.0), p2=0.0, edges=((0, 5),))
 
+    @pytest.mark.parametrize("edges", [((0, 1), (1, 2), (1, 2)), ((0, 1), (2, 1), (1, 2))],
+                             ids=["repeated", "both_ways"])
+    def test_duplicate_edge(self, edges):
+        q = QubitParams(10.0, 10.0)
+        with pytest.raises(ValueError, match="listed twice"):
+            DeviceModel(qubits=(q, q, q), p1=(0.0,) * 3, p2=0.0, edges=edges)
+
 
 class TestBacksolve:
     def test_reduces_to_naive_without_decoherence(self):
@@ -117,6 +124,26 @@ class TestDrift:
         sched = DriftSchedule(jitter_sigma=0.0, epochs=((0.0, 1.0, 1.0), (100.0, 0.9, 0.8)))
         assert sched.multipliers_at(50.0) == (1.0, 1.0)
         assert sched.multipliers_at(150.0) == (0.9, 0.8)
+
+    @pytest.mark.parametrize(
+        "jitter_sigma, epochs",
+        [
+            (0.1, ((100.0, 0.5, 0.5), (0.0, 1.0, 1.0))),
+            (0.1, ((math.nan, 0.5, 0.5),)),
+            (0.1, ((0.0, 0.0, 1.0),)),
+            (0.1, ((0.0, 1.0, -0.5),)),
+            (0.1, ((0.0, math.inf, 1.0),)),
+            (0.1, ((0.0, 1.0, math.nan),)),
+            (-0.1, ()),
+            (math.nan, ()),
+            (math.inf, ()),
+        ],
+        ids=["unsorted", "nan_start", "zero_t1_mult", "negative_t2_mult", "inf_mult",
+             "nan_mult", "negative_jitter", "nan_jitter", "inf_jitter"],
+    )
+    def test_schedule_it_cannot_mean(self, jitter_sigma, epochs):
+        with pytest.raises(ValueError, match="drift"):
+            DriftSchedule(jitter_sigma=jitter_sigma, epochs=epochs)
 
     def test_coherence_scale_clips_to_bound(self):
         dev = starmon5_reference_model()

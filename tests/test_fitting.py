@@ -31,6 +31,19 @@ class TestDataSeries:
         with pytest.raises(ValueError):
             DataSeries(np.arange(4.0), np.array([0.0, 0.5, 1.2, 0.3]))
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([0.0, 1.0, 2.0, 3.0], [0.9, np.nan, 0.5, 0.4]),
+            ([0.0, 1.0, 2.0, np.inf], [0.9, 0.7, 0.5, 0.4]),
+            ([-np.inf, 1.0, 2.0, 3.0], [0.9, 0.7, 0.5, 0.4]),
+        ],
+        ids=["nan_y", "inf_x", "minus_inf_x"],
+    )
+    def test_non_finite_values(self, x, y):
+        with pytest.raises(ValueError):
+            DataSeries(np.array(x), np.array(y))
+
 
 class TestExactRecovery:
     def test_geometric(self):

@@ -120,6 +120,50 @@ def _valid_body(key: str) -> dict:
             "idempotency_key": key}
 
 
+class GatedBackend(LocalSimBackend):
+    """Holds every batch inside ``run`` until ``release`` is set."""
+
+    def __init__(self, device: DeviceModel) -> None:
+        super().__init__(device)
+        self.started, self.release = threading.Event(), threading.Event()
+
+    def run(self, circuits, shots, seed) -> list[ShotTable]:
+        self.started.set()
+        assert self.release.wait(timeout=30.0)
+        return super().run(circuits, shots, seed)
+
+
+def test_retry_of_a_running_job_gets_its_id():
+    """A key retried while its job runs gets the job's id, which answers
+    ``running`` until the job ends and ``done`` after."""
+    local = GatedBackend(ideal_device(3))
+    body, first = _valid_body("retried"), []
+    with MockServer(local) as srv:
+        def post() -> None:
+            first.append(http_json(srv.url, "POST", "/jobs", body))
+
+        thread = threading.Thread(target=post)
+        thread.start()
+        try:
+            assert local.started.wait(timeout=30.0)
+            code, reply = http_json(srv.url, "POST", "/jobs", body)
+            assert code == 200
+            job_id = reply["job_id"]
+            assert http_json(srv.url, "GET", f"/jobs/{job_id}") == (
+                200, {"status": "running", "results": []})
+            backend = RemoteBackend(srv.url, n_qubits=3, poll_interval_s=0.01)
+            with pytest.raises(SubmitTimeout):
+                backend.wait(job_id, timeout_s=0.05)
+        finally:
+            local.release.set()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert first == [(201, {"job_id": job_id})]
+        done = {"status": "done", "results": [{"counts": {"100": 10}}]}
+        assert http_json(srv.url, "GET", f"/jobs/{job_id}") == (200, done)
+        assert backend.wait(job_id, timeout_s=5.0) == done
+
+
 class TestRejectedSubmission:
     """A body the server cannot decode answers 400 and registers nothing."""
 
@@ -134,9 +178,10 @@ class TestRejectedSubmission:
             {**_valid_body("k4"), "circuits": 5},
             {**_valid_body("k5"), "circuits": [5]},
             {**_valid_body("k6"), "idempotency_key": ["a", "list"]},
+            {**_valid_body("k7"), "idempotency_key": 7},
         ],
         ids=["bad_gate", "bad_shots", "null_seed", "list_body", "int_circuits",
-             "int_circuit", "list_key"],
+             "int_circuit", "list_key", "int_key"],
     )
     def test_rejected_body_leaves_nothing(self, server, body):
         conn = http.client.HTTPConnection(urlsplit(server.url).netloc, timeout=30)
@@ -147,27 +192,27 @@ class TestRejectedSubmission:
                 resp = conn.getresponse()
                 assert resp.status == 400
                 assert "error" in json.loads(resp.read())
-                assert server._by_key == {} and server._jobs == {}
+                assert server._jobs == {}
             conn.request("POST", "/jobs", json.dumps(_valid_body("fresh")).encode("utf-8"),
                          {"Content-Type": "application/json"})
             resp = conn.getresponse()  # the same connection still serves
             assert resp.status == 201 and "job_id" in json.loads(resp.read())
         finally:
             conn.close()
-        assert list(server._by_key) == ["fresh"]
+        assert len(server._jobs) == 1
 
     def test_many_rejected_keys_leave_nothing(self, server):
         body = {**_valid_body(""), "circuits": [{"n_qubits": 3, "ops": [{"kind": "BAD"}]}]}
         for i in range(200):
             reply = http_json(server.url, "POST", "/jobs", {**body, "idempotency_key": f"k{i}"})
             assert reply[0] == 400
-        assert server._by_key == {} and server._jobs == {}
+        assert server._jobs == {}
 
 
 class QueuedServer(MockServer):
     """A mock server whose jobs stay queued while ``hold`` is on, until
-    :meth:`complete_all` runs them.  Held jobs sit outside the server's job
-    store, so its cap never forgets them."""
+    :meth:`complete_all` runs them.  Held jobs sit in the server's job store
+    as ``running``, which its cap never forgets."""
 
     def __init__(self, backend: Backend) -> None:
         super().__init__(backend)
@@ -239,6 +284,16 @@ class TestTimeout:
                 assert backend.result(handle)[0].counts == {"100": 10}
             assert backend._context == {} and backend._timed_out == {}
 
+    def test_result_on_a_queued_job_keeps_the_handle(self):
+        with QueuedServer(LocalSimBackend(ideal_device(3))) as srv:
+            backend = RemoteBackend(srv.url, n_qubits=3)
+            handle = backend.submit([_circuit()], 5, seed=1)
+            with pytest.raises(SubmitTimeout) as err:
+                backend.result(handle)
+            assert err.value.handle == handle and list(backend._context) == [handle]
+            srv.complete_all()
+            assert backend.result(handle)[0].counts == {"100": 5}
+
     def test_result_before_done_raises(self):
         with QueuedServer(LocalSimBackend(ideal_device(3))) as srv:
             backend = RemoteBackend(srv.url, n_qubits=3)
@@ -258,15 +313,14 @@ class TestServerMemory:
             done = []
             for seed in range(3 * cap):
                 done.append(backend.submit([_circuit()], 5, seed=seed))
-                assert len(srv._jobs) == min(len(done), cap)
-                assert len(srv._by_key) == len(queued) + min(len(done), cap)
+                assert len(srv._jobs) == len(queued) + min(len(done), cap)
             for handle in queued:
                 assert backend.status(handle)["status"] == "queued"
             assert [backend.status(h)["status"] for h in done[-cap:]] == ["done"] * cap
             with pytest.raises(JobNotFoundError):
                 backend.result(done[0])
             srv.complete_all()
-            assert len(srv._jobs) == len(srv._by_key) == cap
+            assert len(srv._jobs) == cap
             assert backend.result(queued[1])[0].counts == {"100": 5}
             with pytest.raises(JobNotFoundError):
                 backend.status(done[-cap])
@@ -300,7 +354,16 @@ class TestFailedJob:
             with pytest.raises(BackendError, match="RuntimeError: device lost") as err:
                 backend.run([_circuit()], 10, seed=1)
             assert not isinstance(err.value, JobNotFoundError)
-            assert len(srv._jobs) == len(srv._by_key) == 1
+            assert len(srv._jobs) == 1
+
+    def test_result_raises_the_error_and_forgets_the_handle(self):
+        with MockServer(RaisingBackend([])) as srv:
+            backend = RemoteBackend(srv.url, n_qubits=3)
+            handle = backend.submit([_circuit()], 10, seed=1)
+            with pytest.raises(BackendError, match="failed: RuntimeError: device lost") as err:
+                backend.result(handle)
+            assert err.type is BackendError
+            assert backend._context == {} and backend._timed_out == {}
 
     def test_failed_jobs_are_bounded(self, monkeypatch):
         cap = 3
@@ -310,7 +373,7 @@ class TestFailedJob:
             for seed in range(2 * cap):
                 with pytest.raises(BackendError, match="failed"):
                     backend.run([_circuit()], 10, seed=seed)
-            assert len(srv._jobs) == len(srv._by_key) == cap
+            assert len(srv._jobs) == cap
 
 
 class TestForgottenHandles:
@@ -462,6 +525,8 @@ BAD_STATUS_REPLIES = {
     "json_list": ((200, b'[{"status": "done"}]'), BackendError),
     "unknown_status": ((200, b'{"status": "exploded"}'), BackendError),
     "status_not_a_string": ((200, b'{"status": ["done"]}'), BackendError),
+    "failed_job": ((200, b'{"status": "failed", "error": "device lost", "results": []}'),
+                   BackendError),
 }
 
 
@@ -481,8 +546,8 @@ def bad_status_server():
 
 
 class TestStatusErrors:
-    """Every status reply the protocol does not define is a ``BackendError``,
-    raised at once, through the library and through the CLI."""
+    """Every status reply the protocol does not define, and a failed job's, is
+    a ``BackendError``, raised at once, through the library and through the CLI."""
 
     @pytest.mark.parametrize("case", sorted(BAD_STATUS_REPLIES))
     def test_run_forgets_the_handle(self, bad_status_server, case):
